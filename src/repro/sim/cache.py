@@ -25,6 +25,8 @@ write-back bookkeeping because DRAM is lost on crash anyway.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -131,20 +133,30 @@ class LastLevelCache:
         return np.asarray(keep_starts, dtype=np.int64), np.asarray(keep_lengths, dtype=np.int64)
 
     def _evict_over_capacity(self) -> None:
-        evicted = 0
-        while len(self._dirty) > self._capacity_lines:
-            (_, line), (region, _) = self._dirty.popitem(last=False)
-            self._write_back(region, line)
-            evicted += 1
-        if evicted:
-            self._events.emit(LlcEvict(lines=evicted))
+        excess = len(self._dirty) - self._capacity_lines
+        if excess > 0:
+            self._drain(list(islice(self._dirty.values(), excess)), pop=True)
+            self._events.emit(LlcEvict(lines=excess))
 
-    def _write_back(self, region: Region, line: int) -> None:
-        start = line * self._line
-        size = min(self._line, region.size - start)
-        # Natural evictions are asynchronous background traffic; they persist
-        # data functionally but are not charged to any foreground timeline.
-        self._optane.write_epoch(region, [start], [size])
+    def _drain(self, entries: list[tuple[Region, int]], pop: bool) -> None:
+        """Write ``entries`` (LRU order) back to PM, one Optane epoch per line.
+
+        Each same-region run is one vectorized ``write_epochs`` call.  With
+        ``pop`` the oldest dirty entry is popped just before its line
+        persists, so a crash at a line's epoch finds that line and every
+        earlier one persisted and the later ones still dirty (eADR drains
+        them).
+
+        Natural evictions are asynchronous background traffic; they persist
+        data functionally but are not charged to any foreground timeline.
+        """
+        before = (lambda _g: self._dirty.popitem(last=False)) if pop else None
+        for region, run in groupby(entries, key=itemgetter(0)):
+            starts = np.fromiter((line for _, line in run), np.int64) * self._line
+            sizes = np.minimum(self._line, region.size - starts)
+            n = starts.size
+            self._optane.write_epochs(region, starts, sizes, np.arange(n), n,
+                                      before_group=before)
 
     # ------------------------------------------------------------------
 
@@ -222,6 +234,5 @@ class LastLevelCache:
         PM on power failures").
         """
         if eadr:
-            for (_, line), (region, _) in list(self._dirty.items()):
-                self._write_back(region, line)
+            self._drain(list(self._dirty.values()), pop=False)
         self._dirty.clear()
