@@ -1,21 +1,20 @@
-"""Micro-benchmarks of the zero-copy bulk data paths.
+"""Micro-benchmarks of the bulk data paths.
 
-Three hot paths got copy-elision or scratch reuse (see
-``docs/performance.md``, "Bulk data paths"):
+Three hot paths are measured (see ``docs/performance.md``, "Bulk data
+paths"):
 
-* the CAP persist pipeline - the bounce-buffer fill is deferred and the
-  host-side copy reads straight through it back to the GPU source view;
+* the CAP persist pipeline - DMA into the pinned bounce buffer, then the
+  host-side copy and persist out of it;
 * ``stream_copy`` - lowered to one ``np.copyto`` through ``BulkTransfer``;
 * ragged byte-index construction (warp drains, ``persist_ranges``) - built
   in place over the shared ``iota64`` ramp instead of per-call arange /
   concatenate temporaries.
 
-Each bench has an eager/naive reference twin so a regression in the
+The ragged-index bench has a naive reference twin so a regression in the
 optimised idiom shows up as a shrinking gap, not just noise.
 """
 
 import numpy as np
-import pytest
 
 from repro.sim import bulk
 from repro.workloads.base import Mode, make_system
@@ -35,13 +34,8 @@ def _cap_system():
     return driver.cap, hbm, pm.region
 
 
-@pytest.mark.parametrize("elide", [True, False], ids=["elided", "eager"])
-def test_cap_persist_pipeline(benchmark, monkeypatch, elide):
+def test_cap_persist_pipeline(benchmark):
     """The full DMA -> bounce -> CPU persist pipeline, 4 MB per round."""
-    if elide:
-        monkeypatch.delenv(bulk.NO_ELISION_ENV, raising=False)
-    else:
-        monkeypatch.setenv(bulk.NO_ELISION_ENV, "1")
     cap, hbm, pm = _cap_system()
 
     def run():

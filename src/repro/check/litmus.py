@@ -726,8 +726,6 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
             violate("reference", "litmus-census-epoch-boundary",
                     f"expected {expect_bounds} epoch-boundary frontiers, "
                     f"recorded {census['epoch-boundary']}")
-        for r in regions:
-            r.ensure_materialized()  # direct .visible access below
         visible = {i: _image_u32(r.visible[:r.size]).copy()
                    for i, r in enumerate(regions)}
         expected = _expected_words(test)

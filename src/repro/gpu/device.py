@@ -536,7 +536,6 @@ class Gpu:
         src_off: int,
         nbytes: int,
         persist: bool = True,
-        defer_fill: bool = False,
     ) -> float:
         """Device-wide streaming copy kernel (128 B-aligned, coalesced).
 
@@ -545,17 +544,12 @@ class Gpu:
         perfectly coalesced accesses, then (optionally) issues one
         system-scope fence.  Returns elapsed seconds (also advances the
         clock).
-
-        ``defer_fill`` lowers the data movement to a pending fill on ``dst``
-        (copy elision; see :mod:`repro.sim.bulk`).  Only legal when the
-        caller owns ``dst`` as private staging that nothing reads before the
-        next pipeline stage consumes it.  Accounting is unaffected.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         cfg = self.config
         self.machine.events.emit(KernelLaunch(kind="stream_copy"))
-        BulkTransfer(dst, dst_off, src, src_off, nbytes).apply(defer=defer_fill)
+        BulkTransfer(dst, dst_off, src, src_off, nbytes).apply()
         elapsed = cfg.gpu_kernel_launch_s
         if nbytes:
             if dst.kind is MemKind.HBM and src.kind is MemKind.HBM:
@@ -613,7 +607,6 @@ class Gpu:
         # Functional scatter: one fancy-indexed assignment; duplicate offsets
         # resolve last-item-wins, as the sequential store loop would (both
         # paths are item-granular, so the equivalence holds under aliasing).
-        region.ensure_materialized()
         if (
             item_bytes == flat.dtype.itemsize
             and item_bytes in (2, 4, 8)

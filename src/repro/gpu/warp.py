@@ -28,7 +28,6 @@ holds the two lanes bit-identical on every converted workload.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -39,10 +38,9 @@ from .hierarchy import Dim3
 from .kernel import _IMPLICIT_ROUND, _WarpDrainBuffer
 
 #: Module switch: when True, ``Gpu.launch`` ignores registered warp
-#: implementations and every kernel runs thread-at-a-time.  Settable for a
-#: whole process via the ``REPRO_SCALAR_LANE`` environment variable, or
-#: scoped with :func:`scalar_lane` (the parity tests' reference runs).
-_scalar_only = os.environ.get("REPRO_SCALAR_LANE", "") not in ("", "0")
+#: implementations and every kernel runs thread-at-a-time.  Set only
+#: through :func:`scalar_lane` (the parity tests' reference runs).
+_scalar_only = False
 
 #: Cached ``np.arange`` vectors for gather/scatter index construction.
 _SPANS: dict[int, np.ndarray] = {}

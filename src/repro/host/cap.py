@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import itertools
 
-from ..sim import bulk
 from ..sim.memory import MemKind, Region
 from .filesystem import PmFile
 
@@ -48,7 +47,7 @@ class CapEngine:
         # how many systems the process built before this one.
         self._bounce_ids = itertools.count()
         if mode is CapMode.EADR and not system.eadr:
-            raise ValueError("CAP-eADR requires a System(eadr=True) platform")
+            raise ValueError('CAP-eADR requires a System(persistency="eadr") platform')
 
     # ------------------------------------------------------------------
 
@@ -81,14 +80,8 @@ class CapEngine:
         machine = self.system.machine
         start = machine.clock.now
         bounce = self._bounce_buffer(nbytes)
-        # The bounce buffer is engine-private: nothing reads it between this
-        # DMA and the host-side copy below, so the staging fill is deferred
-        # (copy elision) and the host step reads straight through it back to
-        # the GPU source view.  Accounting is unchanged on both steps.
-        self.system.dma.device_to_host(
-            src, src_off, bounce, 0, nbytes, pinned=True, defer_fill=True
-        )
-        data = bulk.resolve_read(bounce, 0, nbytes)
+        self.system.dma.device_to_host(src, src_off, bounce, 0, nbytes, pinned=True)
+        data = bounce.read_bytes(0, nbytes)
 
         if self.mode is CapMode.FS:
             f = self._as_file(dst)
@@ -109,9 +102,6 @@ class CapEngine:
             machine.cpu_store_arrival(region, dst_off, nbytes)
             machine.clock.advance(elapsed_copy)
             machine.background_persist(region, dst_off, nbytes)
-        # The staged bytes are consumed; drop the deferred fill so the next
-        # pipeline run never materialises it.
-        bounce.consume_pending_fills()
         return machine.clock.now - start
 
     @staticmethod

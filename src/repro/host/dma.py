@@ -26,25 +26,18 @@ class DmaEngine:
         self.config = machine.config
 
     def device_to_host(self, src: Region, src_off: int, dst: Region, dst_off: int,
-                       nbytes: int, pinned: bool = True,
-                       defer_fill: bool = False) -> float:
+                       nbytes: int, pinned: bool = True) -> float:
         """DMA ``nbytes`` from GPU memory to host memory.
 
         ``pinned=False`` models a pageable/mapped destination: the transfer
         stages through a pinned DRAM bounce buffer, adding a host-side copy.
-        ``defer_fill`` elides the functional copy into ``dst`` (legal only
-        for caller-private DRAM staging; see ``repro.sim.bulk``).  Returns
-        elapsed seconds (also advances the clock).
+        Returns elapsed seconds (also advances the clock).
         """
         if src.kind is not MemKind.HBM:
             raise ValueError("device_to_host source must be HBM")
         if dst.kind is MemKind.HBM:
             raise ValueError("device_to_host destination must be host memory")
-        # src and dst are distinct memories (HBM vs host): one copy (or a
-        # deferred fill the next pipeline stage reads through).
-        BulkTransfer(dst, dst_off, src, src_off, nbytes).apply(
-            defer=defer_fill and dst.kind is MemKind.DRAM
-        )
+        BulkTransfer(dst, dst_off, src, src_off, nbytes).apply()
         elapsed = self.machine.pcie.dma_time(nbytes, to_gpu=False)
         if dst.kind is MemKind.PM:
             # I/O writes to PM land in the LLC via DDIO: visible, volatile.

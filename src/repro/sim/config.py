@@ -30,6 +30,10 @@ class SystemConfig:
     # ------------------------------------------------------------------
     #: Bytes of the internal XPLine write-combining buffer granule.  Optane
     #: "internally buffers writes at 256 bytes to hide latency" (Section 6.1).
+    #: Every XPLine a write touches costs a full line of media time, which
+    #: models the read-modify-write behind "if the accesses are not
+    #: 256-bytes-aligned then it drops to 3.13 GBps" (Section 6.1): a 64 B
+    #: store pays for 256 B, 12.5 / 4 = 3.125 GB/s.
     pm_xpline_bytes: int = 256
     #: Load latency of the PM media; "access times are only 3-10x of DRAM"
     #: (Section 2).
@@ -38,23 +42,10 @@ class SystemConfig:
     #: "one can achieve 12.5 GBps bandwidth with sequential accesses aligned
     #: at 256 bytes" (Section 6.1).
     pm_bw_seq_aligned: float = 12.5e9
-    #: "if the accesses are not 256-bytes-aligned then it drops to 3.13 GBps"
-    #: (Section 6.1).  Modelled as a read-modify-write of the full XPLine for
-    #: every partial-line store: 12.5 / 4 = 3.125 GB/s.
-    pm_partial_line_penalty: float = 4.0
     #: "if accesses are to random addresses then bandwidth drops to 0.72
     #: GBps" (Section 6.1).  Random XPLine sequences additionally defeat the
     #: device's internal prefetch/row buffering.
     pm_random_penalty: float = 4.34
-    #: Write-pending-queue depth of the ADR domain (Section 2).  Writes that
-    #: reach the WPQ are persistent.
-    wpq_entries: int = 64
-
-    # ------------------------------------------------------------------
-    # DRAM (Table 3: 768 GB DDR4-2933)
-    # ------------------------------------------------------------------
-    dram_latency_s: float = 80e-9
-    dram_bw: float = 90e9
 
     # ------------------------------------------------------------------
     # CPU and LLC (Table 3: 4x Xeon Gold 6242; Sections 3, 6.1)
@@ -105,9 +96,7 @@ class SystemConfig:
     # ------------------------------------------------------------------
     # GPU (Table 3: Titan RTX, 72 SMs, 24 GB GDDR6)
     # ------------------------------------------------------------------
-    gpu_sm_count: int = 72
     gpu_warp_size: int = 32
-    gpu_cache_line_bytes: int = 128
     gpu_hbm_bw: float = 550e9
     #: Simulated cost of one abstract arithmetic operation per thread, after
     #: dividing by the machine's parallelism (SMs x warp lanes).

@@ -51,13 +51,12 @@ from .persistency import PersistencyModel, resolve_model
 class Machine:
     """One simulated Xeon + Optane + GPU platform."""
 
-    def __init__(self, config: SystemConfig = DEFAULT_CONFIG, eadr: bool = False,
+    def __init__(self, config: SystemConfig = DEFAULT_CONFIG,
                  persistency: PersistencyModel | str | None = None) -> None:
         self.config = config
         #: The machine's persistency model - ordering, persist-domain and
-        #: data-path rules (``repro.sim.persistency``).  The legacy ``eadr``
-        #: boolean is a deprecation shim resolved by ``resolve_model``.
-        self.persistency = resolve_model(persistency, eadr=eadr)
+        #: data-path rules (``repro.sim.persistency``).
+        self.persistency = resolve_model(persistency)
         self.clock = SimClock()
         #: The hardware event bus; ``stats`` is its first subscriber.
         self.events = EventBus(self.clock)

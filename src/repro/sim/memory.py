@@ -73,14 +73,6 @@ class Region:
         self.persisted = np.zeros(size, dtype=np.uint8) if kind is MemKind.PM else None
         #: Set when a crash wiped this (volatile) region's contents.
         self.lost = False
-        #: Deferred bulk fills (copy elision): ``[(offset, source_view)]``.
-        #: Each entry is a store of ``source_view`` at ``offset`` that has
-        #: been *accounted for* but not yet materialised into ``visible``.
-        #: Any observation through the region API materialises them first;
-        #: a crash drops them (an unmaterialised fill is an unpersisted
-        #: store).  Populated only via :meth:`defer_fill` - see
-        #: ``repro.sim.bulk``.
-        self._pending_fills: list[tuple[int, np.ndarray]] = []
 
     # -- typed access ---------------------------------------------------
 
@@ -92,8 +84,6 @@ class Region:
         traffic and persistence go through the machine/GPU/CPU interfaces
         instead.
         """
-        if self._pending_fills:
-            self._materialize_fills()
         dtype = np.dtype(dtype)
         end = self.size if count is None else offset + count * dtype.itemsize
         self._check_range(offset, end - offset)
@@ -111,14 +101,10 @@ class Region:
     # -- raw byte access ------------------------------------------------
 
     def read_bytes(self, offset: int, size: int) -> np.ndarray:
-        if self._pending_fills:
-            self._materialize_fills()
         self._check_range(offset, size)
         return self.visible[offset : offset + size]
 
     def write_bytes(self, offset: int, data) -> None:
-        if self._pending_fills:
-            self._materialize_fills()
         data = np.asarray(data, dtype=np.uint8)
         self._check_range(offset, data.size)
         self.visible[offset : offset + data.size] = data
@@ -130,69 +116,13 @@ class Region:
         hold a contiguous uint8 view (the bulk-transfer paths): skips the
         ``asarray`` conversion and lowers to ``np.copyto``.
         """
-        if self._pending_fills:
-            self._materialize_fills()
         self._check_range(offset, src.size)
         np.copyto(self.visible[offset : offset + src.size], src)
 
     def fill(self, offset: int, size: int, value: int) -> None:
         """Set ``size`` visible bytes to ``value`` without a temp array."""
-        if self._pending_fills:
-            self._materialize_fills()
         self._check_range(offset, size)
         self.visible[offset : offset + size] = value
-
-    # -- deferred bulk fills (copy elision; see repro.sim.bulk) ----------
-
-    def defer_fill(self, offset: int, src: np.ndarray) -> None:
-        """Record ``visible[offset:offset+len(src)] = src`` without copying.
-
-        ``src`` is held as a live view: the caller guarantees nothing reads
-        this region before either the fill is consumed by the next pipeline
-        stage (``repro.sim.bulk.resolve_read``) or materialised by a region
-        API access.  Disjoint fills accumulate; a new fill that fully covers
-        an older one replaces it; a partial overlap materialises everything
-        first (keeps ordering trivially right).
-        """
-        self._check_range(offset, src.size)
-        if self._pending_fills:
-            end = offset + src.size
-            kept: list[tuple[int, np.ndarray]] = []
-            for off, old in self._pending_fills:
-                old_end = off + old.size
-                if old_end <= offset or end <= off:
-                    kept.append((off, old))
-                elif offset <= off and old_end <= end:
-                    continue  # fully covered by the new fill: superseded
-                else:
-                    self._materialize_fills()
-                    kept = []
-                    break
-            else:
-                self._pending_fills = kept
-        self._pending_fills.append((offset, src))
-
-    def _materialize_fills(self) -> None:
-        """Apply pending fills to ``visible`` in arrival order."""
-        pending, self._pending_fills = self._pending_fills, []
-        for offset, src in pending:
-            np.copyto(self.visible[offset : offset + src.size], src)
-
-    def ensure_materialized(self) -> None:
-        """Public hook for code that touches ``visible`` directly."""
-        if self._pending_fills:
-            self._materialize_fills()
-
-    def consume_pending_fills(self) -> None:
-        """Drop pending fills whose data the pipeline has fully consumed.
-
-        Called by a bulk pipeline's *last* stage (e.g. the CAP engine after
-        the host-side persist) on its private staging region: the staged
-        bytes are dead - every later use overwrites them first - so they
-        are never materialised at all.  The staging region's visible bytes
-        simply keep their previous (equally dead) contents.
-        """
-        self._pending_fills.clear()
 
     # -- persistence plumbing (used by caches / fences / flushes) --------
 
@@ -213,8 +143,6 @@ class Region:
         """
         if self.persisted is None:
             raise TypeError(f"cannot persist volatile region {self.name!r}")
-        if self._pending_fills:
-            self._materialize_fills()
         self._check_range(offset, size)
         self.persisted[offset : offset + size] = self.visible[offset : offset + size]
 
@@ -231,8 +159,6 @@ class Region:
         """
         if self.persisted is None:
             raise TypeError(f"cannot persist volatile region {self.name!r}")
-        if self._pending_fills:
-            self._materialize_fills()
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if starts.size <= self._PERSIST_SLICE_THRESHOLD:
@@ -256,14 +182,7 @@ class Region:
         self.persisted[idx] = self.visible[idx]
 
     def crash(self) -> None:
-        """Apply crash semantics: keep only what was persisted.
-
-        Pending deferred fills are dropped, not materialised: an
-        unmaterialised fill is an unpersisted visible store, and a crash
-        loses those on every platform we model (PM rolls visible back to
-        the persisted image; volatile regions are poisoned outright).
-        """
-        self._pending_fills.clear()
+        """Apply crash semantics: keep only what was persisted."""
         if self.persisted is not None:
             self.visible[:] = self.persisted
         else:
@@ -274,8 +193,6 @@ class Region:
         """Number of bytes whose visible and persisted images differ."""
         if self.persisted is None:
             raise TypeError(f"volatile region {self.name!r} has no persisted image")
-        if self._pending_fills:
-            self._materialize_fills()
         return int(np.count_nonzero(self.visible != self.persisted))
 
     def _check_range(self, offset: int, size: int) -> None:

@@ -433,29 +433,21 @@ def make_model(name: str) -> PersistencyModel:
     return cls()
 
 
-def resolve_model(spec, eadr: bool = False) -> PersistencyModel:
-    """Normalise a model spec (instance | name | None) to a fresh instance.
+def resolve_model(spec) -> PersistencyModel:
+    """Normalise a model spec (instance | name | None) to a model instance.
 
-    ``None`` honours the legacy ``eadr`` boolean (the deprecation shim for
-    ``System(eadr=...)`` / ``Machine(eadr=...)`` call sites): ``True`` maps
-    to :class:`EadrStrict`, ``False`` to :class:`Strict`.  Passing both an
-    explicit non-eADR model and ``eadr=True`` is a contradiction and errors.
+    ``None`` means the default :class:`Strict` model; a name is looked up
+    in :data:`MODEL_REGISTRY`; an instance is returned as is.
     """
     if spec is None:
-        return EadrStrict() if eadr else Strict()
+        return Strict()
     if isinstance(spec, str):
-        model = make_model(spec)
-    elif isinstance(spec, PersistencyModel):
-        model = spec
-    else:
-        raise TypeError(
-            f"persistency must be a model name, a PersistencyModel or None, "
-            f"not {type(spec).__name__}")
-    if eadr and not model.eadr:
-        raise ValueError(
-            f"eadr=True contradicts the non-eADR model {model.name!r}; "
-            f"pass the model alone")
-    return model
+        return make_model(spec)
+    if isinstance(spec, PersistencyModel):
+        return spec
+    raise TypeError(
+        f"persistency must be a model name, a PersistencyModel or None, "
+        f"not {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------

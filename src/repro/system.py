@@ -22,21 +22,18 @@ class System:
     ----------
     config:
         Hardware constants; defaults model the paper's Table 3 testbed.
-    eadr:
-        Deprecated shim for ``persistency="eadr"``: model the projected
-        eADR platform of Section 6.1 ("Analyzing GPM's performance and
-        eADR"), where the LLC joins the persistence domain so persistence
-        no longer requires flushing or disabling DDIO.
     persistency:
         The machine's :class:`~repro.sim.persistency.PersistencyModel` - a
         registered model name (``"strict"``, ``"eadr"``, ``"epoch"``,
         ``"relaxed"``, ``"adaptive"``), a model instance, or ``None`` for
-        the default (``strict``, or ``eadr`` when ``eadr=True``).
+        the default (``strict``).  ``"eadr"`` models the projected eADR
+        platform of Section 6.1, where the LLC joins the persistence domain
+        so persistence no longer requires flushing or disabling DDIO.
     """
 
-    def __init__(self, config: SystemConfig = DEFAULT_CONFIG, eadr: bool = False,
+    def __init__(self, config: SystemConfig = DEFAULT_CONFIG,
                  persistency=None) -> None:
-        self.machine = Machine(config, eadr=eadr, persistency=persistency)
+        self.machine = Machine(config, persistency=persistency)
         self.gpu = Gpu(self.machine)
         self.cpu = Cpu(self.machine)
         self.fs = DaxFilesystem(self.machine)

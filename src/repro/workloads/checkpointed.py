@@ -76,17 +76,13 @@ class CheckpointTarget:
             system.cpu.persist_range(self._buffer.kernel_region, 0, self.total_bytes)
             return system.clock.now - start
         # CAP / GPUfs: stage the payload into one HBM block, then persist.
-        # The staging block is private to this target, so the copies defer
-        # as pending fills the persist step reads straight through (the CAP
-        # bounce elision then chains all the way back to the payload views).
         start = system.clock.now
         off = 0
         for p in self.payload:
             system.gpu.stream_copy(self._buffer.hbm, off, p.region, p.offset,
-                                   p.nbytes, persist=False, defer_fill=True)
+                                   p.nbytes, persist=False)
             off += p.nbytes
         self._buffer.persist_all()
-        self._buffer.hbm.consume_pending_fills()
         return system.clock.now - start
 
     def restore(self) -> float:

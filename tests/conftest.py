@@ -55,4 +55,4 @@ def system() -> System:
 
 @pytest.fixture
 def eadr_system() -> System:
-    return System(eadr=True)
+    return System(persistency="eadr")

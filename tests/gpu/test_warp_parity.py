@@ -184,8 +184,8 @@ def test_crash_injector_forces_scalar_lane():
 
 
 def test_forced_scalar_env(monkeypatch):
-    # REPRO_SCALAR_LANE is the process-wide escape hatch (used by CI and
-    # forked check workers); the module flag mirrors it at import time.
+    # The module flag that scalar_lane() sets disables every registered
+    # warp implementation, whoever set it.
     import repro.gpu.warp as warp
 
     monkeypatch.setattr(warp, "_scalar_only", True)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import System
+from repro.gpu import DeviceArray
 from repro.host import CapEngine, CapMode, GPUFS_PAGE_BYTES, GpuFs, GpufsUnsupported
+from repro.workloads import Mode, ModeDriver
+from repro.workloads.checkpointed import CheckpointTarget
 
 
 class TestDma:
@@ -71,7 +74,7 @@ class TestCapEngine:
             CapEngine(system, CapMode.EADR)
 
     def test_cap_eadr_faster_than_mm(self):
-        s1, s2 = System(), System(eadr=True)
+        s1, s2 = System(), System(persistency="eadr")
         h1, f1 = self._setup(s1)
         h2, f2 = self._setup(s2)
         t_mm = CapEngine(s1, CapMode.MM).persist_output(h1, 0, f1.region, 0, 1 << 16)
@@ -95,6 +98,39 @@ class TestCapEngine:
         eng = CapEngine(system, CapMode.MM)
         eng.persist_output(hbm, 0, f.region, 0, 1 << 10)
         eng.persist_output(hbm, 0, f.region, 0, 1 << 20)  # must regrow
+
+    @pytest.mark.parametrize("mode", [CapMode.FS, CapMode.MM])
+    def test_bounce_buffer_holds_source_bytes(self, system, mode):
+        # The simulated DMA really moves the bytes into the pinned bounce
+        # buffer before the host-side persist reads them back out.
+        nbytes = 1 << 16
+        hbm = system.machine.alloc_hbm("out", nbytes)
+        hbm.view(np.uint8)[:] = np.arange(nbytes) % 251
+        f = system.fs.create("/pm/out", nbytes)
+        dst = f if mode is CapMode.FS else f.region
+        CapEngine(system, mode).persist_output(hbm, 0, dst, 0, nbytes)
+        (bounce,) = [r for r in system.machine.regions
+                     if r.name.startswith("cap-bounce-")]
+        assert np.array_equal(bounce.read_bytes(0, nbytes), hbm.read_bytes(0, nbytes))
+        assert np.array_equal(f.region.persisted_view(np.uint8), hbm.view(np.uint8))
+
+    @pytest.mark.parametrize("sizes", [[8192], [4096, 8192]],
+                             ids=["one-array", "two-arrays"])
+    def test_checkpoint_staging_block_holds_payload(self, system, sizes):
+        # CAP checkpoints stage every payload array into one HBM block with
+        # stream_copy; the block ends up holding their concatenation.
+        driver = ModeDriver(system, Mode.CAP_MM)
+        payload = []
+        for i, size in enumerate(sizes):
+            hbm = system.machine.alloc_hbm(f"pl{i}", size)
+            arr = DeviceArray(hbm, np.float32, 0, size // 4)
+            arr.np[:] = np.arange(size // 4, dtype=np.float32) + 1000 * i
+            payload.append(arr)
+        target = CheckpointTarget(driver, "cp", payload, paper_bytes=sum(sizes))
+        target.checkpoint()
+        staging = system.machine.region("hbm:/pm/cp.cp")
+        expected = np.concatenate([p.np.view(np.uint8) for p in payload])
+        assert np.array_equal(staging.read_bytes(0, expected.size), expected)
 
 
 class TestGpufs:

@@ -114,7 +114,7 @@ class TestCrash:
         assert not r.visible[:64].any()
 
     def test_crash_with_eadr_drains_dirty_lines(self):
-        machine = Machine(eadr=True)
+        machine = Machine(persistency="eadr")
         r = machine.alloc_pm("x", 1024)
         r.write_bytes(0, [9] * 64)
         machine.llc.install_writes(r, [0], [64])

@@ -132,7 +132,7 @@ class TestCrash:
             machine.background_persist(r, 0, 8)
 
     def test_background_persist_on_eadr(self):
-        machine = Machine(eadr=True)
+        machine = Machine(persistency="eadr")
         r = machine.alloc_pm("p", 64)
         r.write_bytes(0, [2] * 8)
         machine.background_persist(r, 0, 8)

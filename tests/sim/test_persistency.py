@@ -88,35 +88,23 @@ def test_register_mode_rejects_unknown_model():
 
 
 # ---------------------------------------------------------------------------
-# resolve_model: the eADR deprecation shim
+# resolve_model: model specs to instances
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_model_default_and_shim():
+def test_resolve_model_default_names_and_instances():
     assert type(resolve_model(None)) is Strict
-    assert type(resolve_model(None, eadr=True)) is EadrStrict
+    assert type(resolve_model("eadr")) is EadrStrict
     assert type(resolve_model("epoch")) is Epoch
     inst = Relaxed()
     assert resolve_model(inst) is inst
 
 
-def test_resolve_model_conflicts_and_types():
+def test_resolve_model_rejects_bad_specs():
     with pytest.raises(ValueError):
-        resolve_model("strict", eadr=True)
+        resolve_model("no-such-model")
     with pytest.raises(TypeError):
         resolve_model(42)
-    # eadr=True with an eADR-capable model is consistent, not an error.
-    assert resolve_model("eadr", eadr=True).eadr
-
-
-def test_system_eadr_shim_unchanged():
-    # Existing call sites keep working: the boolean resolves to EadrStrict.
-    system = System(eadr=True)
-    assert system.eadr and system.machine.eadr
-    assert type(system.persistency) is EadrStrict
-    plain = System()
-    assert not plain.eadr
-    assert type(plain.persistency) is Strict
 
 
 def test_system_accepts_model_names_and_instances():

@@ -36,7 +36,7 @@ class TestFreeReallocCrash:
     def test_stale_lines_not_drained_by_eadr_crash(self):
         from repro.sim import Machine
 
-        machine = Machine(eadr=True)
+        machine = Machine(persistency="eadr")
         pm = machine.alloc_pm("state", 4096)
         pm.write_bytes(0, np.full(4096, 0x77, dtype=np.uint8))
         machine.llc.install_writes(pm, [0], [4096])

@@ -40,8 +40,8 @@ class TestSystem:
         assert system.machine.crash_count == 1
 
     def test_eadr_flag(self):
-        assert System(eadr=True).eadr
-        assert System(eadr=True).machine.eadr
+        assert System(persistency="eadr").eadr
+        assert System(persistency="eadr").machine.eadr
 
     def test_version_exported(self):
         assert isinstance(repro.__version__, str)
