@@ -30,7 +30,6 @@ import numpy as np
 
 from ..sim.machine import Machine
 from ..sim.memory import MemKind, Region
-from ..sim.optane import merge_segments
 from ..sim.stats import MachineStats
 from .hierarchy import Dim3, ThreadId
 
@@ -86,10 +85,10 @@ class _WarpDrainBuffer:
 
     Stores accumulate as plain per-region lists; they are converted to
     arrays and merged into coalesced segments exactly once, when the round
-    drains (``_BlockEngine._deliver``).  The scalar lane appends python
+    drains (``_BlockEngine._drain_queue``).  The scalar lane appends python
     ints (:meth:`add` / :meth:`add_many`); the warp lane appends whole
     numpy batches (:meth:`add_arrays`) - a round's lists hold one kind or
-    the other, never a mix, and ``_deliver`` normalises either.
+    the other, never a mix, and the drain queue normalises either.
 
     Rounds key their per-region buckets by the monotonic ``Region.token``,
     never ``id(region)``: CPython recycles the id of a freed region for the

@@ -12,10 +12,10 @@ Equivalence is by construction, not by re-modelling:
 
 * vectorized stores append *array batches* to the same per-warp
   :class:`~repro.gpu.kernel._WarpDrainBuffer` the scalar lane fills, keyed
-  by the same per-lane fence rounds, and drain through the unchanged
-  ``_BlockEngine._deliver`` path - so coalesced segments, PCIe transaction
+  by the same per-lane fence rounds, and drain through the same
+  ``_BlockEngine`` drain queue - so coalesced segments, PCIe transaction
   counts, Optane epochs and every event-bus emission come out identical
-  (``merge_segments`` sorts, so intra-round store order cannot matter);
+  (the merge sorts, so intra-round store order cannot matter);
 * metering increments the same :class:`~repro.gpu.kernel.LaunchAccounting`
   counters by the same amounts (one op per load/store *per lane*, etc.).
 
