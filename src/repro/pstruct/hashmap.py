@@ -159,7 +159,7 @@ class PersistentHashMap:
         system = self.system
         start = system.machine.clock.now
         n = keys.size
-        hbm = system.machine.alloc_hbm(f"pmap.batch.{id(keys)}", n * 16)
+        hbm = system.machine.alloc_hbm(f"{self.path}.batch", n * 16)
         bk = DeviceArray(hbm, np.uint64, 0, n)
         bv = DeviceArray(hbm, np.uint64, n * 8, n)
         bk.np[:] = keys

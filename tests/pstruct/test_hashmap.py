@@ -6,6 +6,7 @@ import pytest
 from repro.core.errors import GpmError
 from repro.pstruct import PersistentHashMap
 from repro.sim import CrashInjector, SimulatedCrash
+from repro.sim.events import RegionAlloc
 
 
 @pytest.fixture
@@ -41,6 +42,19 @@ class TestBasics:
         reopened = PersistentHashMap.open(system, "/pm/map")
         reopened.recover()
         assert reopened.get(3) == 33
+
+    def test_batch_staging_region_name_is_deterministic(self, system, pmap):
+        # Named from the map's path, never from id(keys): the event stream
+        # must not differ between two processes running the same batches.
+        names = []
+        system.events.subscribe(
+            lambda ts, ev: names.append(ev.region)
+            if type(ev) is RegionAlloc else None)
+        first = np.array([1, 2], dtype=np.uint64)
+        second = np.array([3, 4], dtype=np.uint64)
+        pmap.insert_batch(first, [10, 20])
+        pmap.insert_batch(second, [30, 40])
+        assert names == ["/pm/map.batch", "/pm/map.batch"]
 
     def test_capacity_rounds_to_ways(self, system):
         m = PersistentHashMap.create(system, "/pm/m2", capacity=100)
