@@ -306,11 +306,11 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list artefacts and workloads")
-    def engine_flags(p, default_jobs=1):
-        p.add_argument("--jobs", type=int, default=default_jobs,
+    def engine_flags(p):
+        p.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes for the simulations")
         p.add_argument("--cache-dir", default=None,
-                       help="persistent result cache directory "
+                       help="persistent result/verdict cache directory "
                             "(default: ~/.cache/repro or $REPRO_CACHE_DIR)")
         p.add_argument("--no-cache", action="store_true",
                        help="do not read or write the persistent cache")
@@ -391,8 +391,6 @@ def main(argv=None) -> int:
                     help="exploration budget; 0 explores every frontier")
     ck.add_argument("--window-samples", type=int, default=3,
                     help="thread-count samples per unfenced window")
-    ck.add_argument("--jobs", type=int, default=1,
-                    help="parallel worker processes")
     ck.add_argument("--frontier", metavar="SPEC",
                     help="replay one crash, e.g. event:17 or threads:113")
     ck.add_argument("--litmus", type=int, metavar="N", default=0,
@@ -417,10 +415,7 @@ def main(argv=None) -> int:
                          "top of the always-explored ordering frontiers")
     ck.add_argument("--no-corpus", action="store_true",
                     help="skip the seed-corpus pin stage")
-    ck.add_argument("--cache-dir", default=None,
-                    help="persistent litmus verdict cache directory")
-    ck.add_argument("--no-cache", action="store_true",
-                    help="do not read or write the persistent cache")
+    engine_flags(ck)
     args = parser.parse_args(argv)
     return {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,
             "bench": _cmd_bench, "workload": _cmd_workload,
