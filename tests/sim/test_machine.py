@@ -63,6 +63,61 @@ class TestIoWriteRouting:
             machine.io_write_arrival(r, [0], [64])
 
 
+#: (run_starts, run_lengths, run_groups) for four arrivals: plain runs, a
+#: zero-length run, an empty group, and a run spanning several XPLines.
+GROUPED_RUNS = ([0, 256, 64, 512, 1024], [64, 128, 0, 32, 600], [0, 0, 1, 1, 3])
+GROUP_ROUTES = ["ddio-on", "ddio-off", "adaptive", "dram", "positive-only"]
+
+
+def _route_machine(route):
+    machine = Machine(persistency="adaptive" if route == "adaptive" else None)
+    if route == "adaptive":
+        machine.persistency.window_begin(machine)
+    if route in ("ddio-off", "positive-only"):
+        machine.set_ddio(False)
+    kind = MemKind.DRAM if route == "dram" else MemKind.PM
+    region = machine.alloc("r", 4096, kind)
+    region.write_bytes(0, np.arange(4096) % 251)
+    log = []
+    machine.events.subscribe(lambda ts, ev: log.append((ts, repr(ev))))
+    return machine, region, log
+
+
+class TestGroupedArrivals:
+    @pytest.mark.parametrize("route", GROUP_ROUTES)
+    def test_matches_sequential_arrivals(self, route):
+        starts, lengths, groups = (np.asarray(a, dtype=np.int64) for a in GROUPED_RUNS)
+        if route == "positive-only":
+            # Only non-empty groups of positive runs: the vectorized path.
+            keep = lengths > 0
+            starts, lengths = starts[keep], lengths[keep]
+            groups = np.array([0, 0, 1, 2], dtype=np.int64)
+        n_groups = int(groups.max()) + 1
+        ref, ref_region, ref_log = _route_machine(route)
+        ref_times = []
+        for g in range(n_groups):
+            ref_log.append(("group", g))
+            mine = groups == g
+            ref_times.append(ref.io_write_arrival(ref_region, starts[mine], lengths[mine]))
+        got, region, log = _route_machine(route)
+        times = got.io_write_arrival_groups(
+            region, starts, lengths, groups, n_groups,
+            before_group=lambda g: log.append(("group", g)))
+        assert times.tolist() == ref_times
+        assert log == ref_log
+        if region.persisted is not None:
+            assert np.array_equal(region.persisted, ref_region.persisted)
+        assert len(got.llc) == len(ref.llc)
+
+    def test_hbm_target_rejected_before_any_group(self, machine):
+        r = machine.alloc_hbm("h", 1024)
+        seen = []
+        with pytest.raises(ValueError):
+            machine.io_write_arrival_groups(r, [0], [64], [0], 1,
+                                            before_group=seen.append)
+        assert seen == []
+
+
 class TestCpuPaths:
     def test_cpu_store_dirties_llc(self, machine):
         r = machine.alloc_pm("p", 1024)

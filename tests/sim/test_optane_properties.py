@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Machine
-from repro.sim.optane import merge_segments
+from repro.sim.optane import merge_segments, merge_segments_grouped
 
 segments = st.lists(
     st.tuples(st.integers(0, 4000), st.integers(1, 300)), min_size=1, max_size=40
@@ -38,6 +38,21 @@ class TestMergeSegmentsProperties:
         _, ml = merge_segments(np.array(starts), np.array(lengths))
         assert ml.sum() >= max(lengths)
         assert ml.sum() <= sum(lengths)
+
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4000),
+                              st.integers(0, 300)), max_size=40))
+    def test_grouped_merge_equals_per_group_merge(self, segs):
+        # Groups may be empty and segments zero-length, as warp drains are.
+        segs = sorted(segs, key=lambda seg: seg[0])
+        g = np.array([seg[0] for seg in segs], dtype=np.int64)
+        s = np.array([seg[1] for seg in segs], dtype=np.int64)
+        l = np.array([seg[2] for seg in segs], dtype=np.int64)
+        rs, rl, rg = merge_segments_grouped(s, l, g, 4301)
+        for group in range(4):
+            ms, ml = merge_segments(s[g == group], l[g == group])
+            assert rs[rg == group].tolist() == ms.tolist()
+            assert rl[rg == group].tolist() == ml.tolist()
 
 
 class TestWriteEpochProperties:
