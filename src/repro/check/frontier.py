@@ -75,8 +75,9 @@ class FrontierRecorder:
     """Observe one reference run and enumerate its crash frontiers.
 
     Subscribe it to the machine's event bus *and* pass it wherever the
-    workload accepts a ``crash_injector`` (it only implements the passive
-    half of the injector interface - ``advance`` - and never crashes):
+    workload accepts a ``crash_injector`` (it implements only the passive
+    half of the injector interface, ``advance`` and ``needs_scalar_lane``,
+    and never crashes):
 
         recorder = FrontierRecorder()
         system.events.subscribe(recorder.observe)
@@ -90,8 +91,9 @@ class FrontierRecorder:
     become ``threads`` frontiers.
     """
 
-    #: mirror of the active injector protocol the GPU engine relies on
-    fired = False
+    #: the injector protocol ``Gpu.launch`` reads: thread-count windows
+    #: need per-thread retirement, so recorded launches run scalar
+    needs_scalar_lane = True
 
     def __init__(self, window_samples: int = 3) -> None:
         if window_samples < 1:

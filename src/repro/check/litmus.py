@@ -648,31 +648,53 @@ def _staged_flush_violations(test: LitmusTest, plan: list[LitmusWrite],
     return out
 
 
-def _explore_one(test: LitmusTest, point: ConfigPoint, model,
-                 plan: list[LitmusWrite],
-                 frontier: Frontier) -> list[tuple[str, str]]:
-    """Crash a fresh system at one frontier and judge the durable state."""
+def record_frontiers(test: LitmusTest, point: ConfigPoint):
+    """The uninjected reference run: its frontiers and final regions."""
+    system, regions = _build(test, point)
+    recorder = FrontierRecorder(window_samples=2)
+    system.events.subscribe(recorder.observe)
+    try:
+        _run(system, test, regions, recorder, point.window)
+    finally:
+        system.events.unsubscribe(recorder.observe)
+    return recorder.frontiers(), regions
+
+
+def crash_images(test: LitmusTest, point: ConfigPoint,
+                 frontier: Frontier) -> dict[int, np.ndarray] | None:
+    """Crash a fresh system at one frontier; the durable u32 images.
+
+    Returns ``None`` when the armed frontier never fired.  An event
+    frontier replays on the warp lane (every generated kernel has a twin),
+    a thread-count frontier on the scalar lane.
+    """
     system, regions = _build(test, point)
     injector = CrashInjector(system.machine)
     if frontier.mechanism == "event":
         injector.arm_at_frontier(frontier.value)
-    elif frontier.mechanism == "threads":
-        injector.arm(frontier.value)
     else:
-        return [("litmus-replay",
-                 f"unknown frontier mechanism {frontier.mechanism!r}")]
-    crashed = False
+        injector.arm(frontier.value)
     try:
         _run(system, test, regions, injector, point.window)
     except SimulatedCrash:
-        crashed = True
+        return {i: _image_u32(r.persisted_view(np.uint8, 0, r.size)).copy()
+                for i, r in enumerate(regions)}
     finally:
         injector.disarm()
-    if not crashed:
+    return None
+
+
+def _explore_one(test: LitmusTest, point: ConfigPoint, model,
+                 plan: list[LitmusWrite],
+                 frontier: Frontier) -> list[tuple[str, str]]:
+    """Crash a fresh system at one frontier and judge the durable state."""
+    if frontier.mechanism not in ("event", "threads"):
+        return [("litmus-replay",
+                 f"unknown frontier mechanism {frontier.mechanism!r}")]
+    images = crash_images(test, point, frontier)
+    if images is None:
         return [("litmus-determinism",
                  f"armed frontier {frontier.spec()} never fired")]
-    images = {i: _image_u32(r.persisted_view(np.uint8, 0, r.size)).copy()
-              for i, r in enumerate(regions)}
     return _state_violations(test, point, model, plan, images, "durable")
 
 
@@ -701,14 +723,7 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
 
     with sentinel_mutant(mutant):
         # -- reference run: frontiers, census, completion -----------------
-        system, regions = _build(test, point)
-        recorder = FrontierRecorder(window_samples=2)
-        system.events.subscribe(recorder.observe)
-        try:
-            _run(system, test, regions, recorder, point.window)
-        finally:
-            system.events.unsubscribe(recorder.observe)
-        frontiers = recorder.frontiers()
+        frontiers, regions = record_frontiers(test, point)
         counts: dict[str, int] = {}
         for f in frontiers:
             counts[f.kind] = counts.get(f.kind, 0) + 1

@@ -318,11 +318,18 @@ class Gpu:
         Kernels carrying a warp-level implementation (see
         :func:`repro.gpu.warp.vectorized_for`) execute on the vectorized
         lane - one Python call per warp instead of per thread - with
-        bit-identical accounting, events, and memory images.  The scalar
-        lane is used whenever a ``crash_injector`` is supplied (including
-        ``repro.check``'s frontier recorders): per-thread interleaving is
-        exactly what crash injection explores.  ``KernelResult.lane``
-        reports which lane ran.
+        bit-identical accounting, events, and memory images.  The
+        ``crash_injector`` picks the lane by how it is armed, through its
+        ``needs_scalar_lane`` property: an injector armed at an event
+        frontier (``arm_at_frontier``) lets the warp lane run, because a
+        frontier crash fires on a bus event both lanes emit identically;
+        thread-count arming (``arm``/``arm_random``), an unarmed injector
+        and ``repro.check``'s frontier recorder force the scalar lane,
+        because a cut between two threads of one warp needs per-thread
+        retirement.  Under any injector every warp round drains on its own
+        (no deferred queue), so each drain stays its own frontier, and the
+        injector sees the same retired-thread counts on either lane.
+        ``KernelResult.lane`` reports which lane ran.
 
         Raises :class:`~repro.sim.crash.SimulatedCrash` if an armed
         ``crash_injector`` fires mid-launch; simulated time for the partial
@@ -344,7 +351,9 @@ class Gpu:
         total_threads = grid.count * block.count
         acct.ops += compute_ops_per_thread * total_threads
         self.machine.events.emit(KernelLaunch(kind="kernel"))
-        warp_impl = resolve_warp_impl(kernel) if crash_injector is None else None
+        warp_impl = (None if crash_injector is not None
+                     and crash_injector.needs_scalar_lane
+                     else resolve_warp_impl(kernel))
         run_as = warp_impl if warp_impl is not None else kernel
         is_generator = inspect.isgeneratorfunction(run_as)
         retired = 0
@@ -356,6 +365,7 @@ class Gpu:
                     retired = self._run_block_warps(
                         warp_impl, grid, block, block_flat, shared, args,
                         engine, warp_size, retired, is_generator,
+                        crash_injector,
                     )
                     continue
                 contexts = [
@@ -442,14 +452,17 @@ class Gpu:
         return retired
 
     def _run_block_warps(self, warp_impl, grid, block, block_flat, shared,
-                         args, engine, warp_size, retired, is_generator):
+                         args, engine, warp_size, retired, is_generator,
+                         injector):
         """One block on the vectorized lane: one Python call per warp.
 
         Plain warp kernels mirror ``_run_block_plain``: run the warp, move
-        its unfenced stores to the implicit round, flush.  Generator warp
-        kernels mirror ``_run_block_generators``: every warp advances to
-        the barrier, then the block-wide ``flush_all`` delivers all fenced
-        batches in program order - so event order is identical by
+        its unfenced stores to the implicit round, advance the injector by
+        the warp's threads, flush.  Generator warp kernels mirror
+        ``_run_block_generators``: every warp advances to the barrier, then
+        the block-wide ``flush_all`` delivers all fenced batches in program
+        order before the injector advances by the threads that finished -
+        so event order and retired-thread counts are identical by
         construction.
         """
         n = block.count
@@ -460,8 +473,10 @@ class Gpu:
                                    warp_size, shared, engine)
                 warp_impl(wctx, *args)
                 wctx._retire()
-                engine.flush_warp(wctx.warp_global)
                 retired += count
+                if injector is not None:
+                    injector.advance(count)
+                engine.flush_warp(wctx.warp_global)
             return retired
         running = []
         for w0 in range(0, n, warp_size):
@@ -471,15 +486,19 @@ class Gpu:
             running.append((wctx, warp_impl(wctx, *args)))
         while running:
             still = []
+            newly = 0
             for wctx, gen in running:
                 try:
                     next(gen)
                     still.append((wctx, gen))
                 except StopIteration:
                     wctx._retire()
-                    retired += wctx.n
+                    newly += wctx.n
+            retired += newly
             engine.flush_all()
             engine.epoch_boundary()
+            if injector is not None:
+                injector.advance(newly)
             running = still
         return retired
 

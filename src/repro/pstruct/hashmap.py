@@ -32,6 +32,7 @@ from ..core.mapping import gpm_map
 from ..core.persist import persist_window
 from ..core.transactions import TransactionFlag
 from ..gpu.memory import DeviceArray
+from ..gpu.warp import vectorized_for
 from ..workloads.kvs import hash64
 
 _HEADER_BYTES = 128
@@ -87,6 +88,22 @@ def _undo_kernel(ctx, keys, values, log, n_ops):
     values.write(ctx, slot, entry[2])
     ctx.persist()
     gpmlog_remove(ctx, log, _UNDO_BYTES)
+
+
+@vectorized_for(_undo_kernel)
+def _undo_kernel_warp(wctx, keys, values, log, n_ops):
+    sel = wctx.active(wctx.global_ids < n_ops)
+    if sel.size == 0:
+        return
+    entries, live = log.read_warp(wctx, _UNDO_BYTES, lanes=sel)
+    if live.size == 0:
+        return
+    entry = entries.view(np.uint64)
+    slots = entry[:, 0].astype(np.int64)
+    keys.write_warp(wctx, slots, entry[:, 1], lanes=live)
+    values.write_warp(wctx, slots, entry[:, 2], lanes=live)
+    wctx.persist(live)
+    log.remove_warp(wctx, _UNDO_BYTES, lanes=live)
 
 
 class PersistentHashMap:

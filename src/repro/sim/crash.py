@@ -98,6 +98,19 @@ class CrashInjector:
                 or self._frontier_after is not None) and not self.fired
 
     @property
+    def needs_scalar_lane(self) -> bool:
+        """Whether launches under this injector must run thread-at-a-time.
+
+        True unless the injector is armed at a frontier.  A thread-count
+        crash point can cut a warp between two of its threads, which only
+        the scalar lane's per-thread retirement expresses; an unarmed
+        injector stays on the reference lane too.  Frontier arming fires on
+        bus events, which both lanes emit identically, so
+        :meth:`~repro.gpu.device.Gpu.launch` may take the warp lane.
+        """
+        return self._frontier_after is None
+
+    @property
     def crash_after(self) -> int | None:
         return self._crash_after
 

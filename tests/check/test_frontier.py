@@ -66,9 +66,9 @@ class TestRecorder:
         assert [f.value for f in threads] == [8]
 
     def test_passive_injector_interface(self):
-        # the GPU engine only touches .advance and .fired
+        # the GPU engine only touches .advance and .needs_scalar_lane
         rec = FrontierRecorder()
-        assert rec.fired is False
+        assert rec.needs_scalar_lane is True
         rec.advance(100)  # never raises
 
 

@@ -11,8 +11,10 @@ golden-report record ``repro all`` would serialise.
 import numpy as np
 import pytest
 
+from repro.check.frontier import FrontierRecorder, prune_frontiers
 from repro.experiments.diskcache import result_to_record
 from repro.gpu.warp import resolve_warp_impl, scalar_lane
+from repro.pstruct.hashmap import _undo_kernel
 from repro.sim import event_to_record
 from repro.sim.crash import CrashInjector
 from repro.workloads.base import Mode, make_system
@@ -156,8 +158,9 @@ def test_conventional_log_ablation_stays_scalar():
 
 
 def test_crash_injector_forces_scalar_lane():
-    # repro.check's recorders arrive through the crash_injector parameter;
-    # an armed injector must always get the reference interpreter.
+    # The injector's arming picks the lane: thread-count arming, an unarmed
+    # injector and repro.check's recorder need per-thread retirement and
+    # get the reference interpreter; frontier arming takes the warp lane.
     assert resolve_warp_impl(partial_sums_kernel) is not None
     assert resolve_warp_impl(set_kernel) is not None
     assert resolve_warp_impl(pricing_kernel) is not None
@@ -167,9 +170,62 @@ def test_crash_injector_forces_scalar_lane():
     assert resolve_warp_impl(update_kernel) is not None
     assert resolve_warp_impl(select_kernel) is not None
     assert resolve_warp_impl(update_recovery_kernel) is not None
-    ws = PrefixSum(PrefixSumConfig(n=1024, block_dim=256))
+    assert resolve_warp_impl(_undo_kernel) is not None
+
+    def lanes_under(arm):
+        system = make_system(Mode.GPM)
+        if arm == "recorder":
+            injector = FrontierRecorder()
+        else:
+            injector = CrashInjector(system.machine)
+            if arm == "threads":
+                injector.arm(1 << 40)  # armed, but never reached
+            elif arm == "frontier":
+                injector.arm_at_frontier(1 << 40)
+        lanes = []
+        orig = system.gpu.launch
+
+        def spy(*args, **kwargs):
+            res = orig(*args, **kwargs)
+            lanes.append(res.lane)
+            return res
+
+        system.gpu.launch = spy
+        PrefixSum(PrefixSumConfig(n=1024, block_dim=256)).run(
+            Mode.GPM, system=system, crash_injector=injector)
+        assert injector.needs_scalar_lane == (arm != "frontier")
+        return set(lanes)
+
+    assert lanes_under("unarmed") == {"scalar"}
+    assert lanes_under("threads") == {"scalar"}
+    assert lanes_under("recorder") == {"scalar"}
+    assert lanes_under("frontier") == {"warp"}
+
+
+def _hashmap_batches():
+    rng = np.random.default_rng(5)
+    keys = rng.choice(np.arange(1, 1 << 20, dtype=np.uint64), 320,
+                      replace=False)
+    return (keys[:160], keys[:160] * 3), (keys[96:], keys[96:] + 7)
+
+
+def _hashmap_crash_recover(crash_after, forced_scalar):
+    """Crash the second insert batch after ``crash_after`` threads, then
+    recover on the chosen lane; returns what recovery can be judged by."""
+    from repro.pstruct import PersistentHashMap
+    from repro.sim.crash import SimulatedCrash
+
     system = make_system(Mode.GPM)
+    first, second = _hashmap_batches()
+    pmap = PersistentHashMap.create(system, "/pm/map", capacity=512)
+    pmap.insert_batch(*first)
     injector = CrashInjector(system.machine)
+    injector.arm(crash_after)
+    with pytest.raises(SimulatedCrash):
+        pmap.insert_batch(*second, crash_injector=injector)
+    system.machine.drop_volatile_regions()
+    events = []
+    system.events.subscribe(lambda ts, ev: events.append(event_to_record(ts, ev)))
     lanes = []
     orig = system.gpu.launch
 
@@ -179,8 +235,42 @@ def test_crash_injector_forces_scalar_lane():
         return res
 
     system.gpu.launch = spy
-    ws.run(Mode.GPM, system=system, crash_injector=injector)
-    assert lanes and all(lane == "scalar" for lane in lanes)
+    if forced_scalar:
+        with scalar_lane():
+            elapsed = PersistentHashMap.open(system, "/pm/map").recover()
+    else:
+        elapsed = PersistentHashMap.open(system, "/pm/map").recover()
+    images = {r.name: (r.visible.copy(), r.persisted.copy())
+              for r in system.machine.regions}
+    return elapsed, events, images, lanes
+
+
+def test_hashmap_undo_lane_parity():
+    # The undo kernel's warp twin against the scalar body, at thread
+    # frontiers of a crashed insert batch (each leaves a different set of
+    # logged entries for recovery to roll back).
+    from repro.pstruct import PersistentHashMap
+
+    system = make_system(Mode.GPM)
+    first, second = _hashmap_batches()
+    pmap = PersistentHashMap.create(system, "/pm/map", capacity=512)
+    pmap.insert_batch(*first)
+    recorder = FrontierRecorder()
+    system.events.subscribe(recorder.observe)
+    pmap.insert_batch(*second, crash_injector=recorder)
+    windows = [f for f in recorder.frontiers() if f.mechanism == "threads"]
+    assert len(windows) > 8
+    for crash_after in [f.value for f in prune_frontiers(windows, 8)]:
+        t_s, ev_s, img_s, lanes_s = _hashmap_crash_recover(crash_after, True)
+        t_w, ev_w, img_w, lanes_w = _hashmap_crash_recover(crash_after, False)
+        assert lanes_s == ["scalar"] and lanes_w == ["warp"]
+        assert t_s == t_w, crash_after
+        assert ev_s == ev_w, crash_after
+        assert img_s.keys() == img_w.keys()
+        for name, (vis_s, per_s) in img_s.items():
+            vis_w, per_w = img_w[name]
+            assert np.array_equal(vis_s, vis_w), (crash_after, name)
+            assert np.array_equal(per_s, per_w), (crash_after, name)
 
 
 def test_forced_scalar_env(monkeypatch):
@@ -250,6 +340,63 @@ def test_litmus_kernels_lane_parity(index, spec):
         assert np.array_equal(per_s, per_w)
 
 
+@pytest.mark.parametrize("spec", LITMUS_PARITY_POINTS)
+def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
+    # Event-frontier replays of the litmus fuzzer take the warp lane; the
+    # durable image at every frontier execute_point selects must equal the
+    # scalar lane's, so the outcome oracle judges the same states.
+    from repro.check.litmus import (
+        DEFAULT_LITMUS_FRONTIERS,
+        crash_images,
+        generate_tests,
+        parse_config_point,
+        record_frontiers,
+        select_frontiers,
+    )
+    from repro.gpu import device
+
+    lanes = []
+    resolve = device.resolve_warp_impl
+
+    def spy(kernel):
+        impl = resolve(kernel)
+        lanes.append(impl is not None)
+        return impl
+
+    monkeypatch.setattr(device, "resolve_warp_impl", spy)
+    point = parse_config_point(spec)
+    warp_replays = 0
+    for test in generate_tests(42, 2):
+        frontiers, _ = record_frontiers(test, point)
+        for frontier in select_frontiers(frontiers, DEFAULT_LITMUS_FRONTIERS):
+            lanes.clear()
+            default = crash_images(test, point, frontier)
+            # (a crash before the launch resolves its lane leaves no entry)
+            assert set(lanes) <= {frontier.mechanism == "event"}
+            warp_replays += any(lanes)
+            with scalar_lane():
+                reference = crash_images(test, point, frontier)
+            assert default is not None and reference is not None
+            assert default.keys() == reference.keys()
+            for r, image in default.items():
+                assert np.array_equal(image, reference[r]), (
+                    test.index, frontier.spec(), r)
+    assert warp_replays
+
+
+def test_litmus_sentinels_caught_with_warp_lane_replays():
+    from repro.check.litmus import execute_point, generate_tests
+    from repro.sim.persistency import SENTINEL_MUTANTS
+
+    tests = generate_tests(42, 2)
+    for mutant in SENTINEL_MUTANTS:
+        caught = [(test.index, spec) for test in tests
+                  for spec in LITMUS_PARITY_POINTS
+                  if not execute_point(test.payload(), spec,
+                                       mutant=mutant)["ok"]]
+        assert caught, f"sentinel {mutant} escaped"
+
+
 def test_litmus_generated_kernels_register_warp_impl():
     from repro.check.litmus import REGION_BYTES, build_kernels, generate_tests
     from repro.system import System
@@ -263,8 +410,9 @@ def test_litmus_generated_kernels_register_warp_impl():
 
 def test_check_frontiers_match_either_lane():
     # repro.check must explore the same frontier count whether or not warp
-    # implementations are registered: recording runs under an armed
-    # recorder (scalar), and only invariant-side re-runs use the warp lane.
+    # implementations are registered: recording runs under the recorder
+    # (scalar lane), and event-frontier replays (warp lane) must judge
+    # every state as the scalar lane does.
     from repro.check import explore
 
     report_default = explore("prefix_sum", Mode.GPM, max_frontiers=4)
