@@ -150,13 +150,17 @@ def _cmd_serve(args) -> int:
     from .serve import ServiceConfig, run_service
     from .serve.metrics import render_summary, summary_json
 
-    config = ServiceConfig(
-        mode=args.mode, tenants=args.tenants, shards=args.shards,
-        rate=args.rate, duration=args.duration, seed=args.seed,
-        read_fraction=args.read_fraction,
-        delete_fraction=args.delete_fraction, theta=args.theta,
-        target_batch=args.target_batch, linger=args.linger,
-    )
+    _parse_mode(args.mode)
+    try:
+        config = ServiceConfig(
+            mode=args.mode, tenants=args.tenants, shards=args.shards,
+            rate=args.rate, duration=args.duration, seed=args.seed,
+            read_fraction=args.read_fraction,
+            delete_fraction=args.delete_fraction, theta=args.theta,
+            target_batch=args.target_batch, linger=args.linger,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"serve: {exc}")
     result = run_service(config)
     if args.json:
         print(summary_json(result["summary"]))
