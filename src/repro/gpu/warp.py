@@ -20,10 +20,16 @@ Equivalence is by construction, not by re-modelling:
   counters by the same amounts (one op per load/store *per lane*, etc.).
 
 Kernels opt in by attaching a warp-level implementation to the scalar
-callable with :func:`vectorized_for`; the scalar body remains the reference
-(and the only lane used under crash injection, where per-thread interleaving
-is the whole point).  The parity suite in ``tests/gpu/test_warp_parity.py``
-holds the two lanes bit-identical on every converted workload.
+callable with :func:`vectorized_for`; the scalar body remains the reference.
+Under crash injection the injector's arming picks the lane (its
+``needs_scalar_lane`` property): a crash armed at an event frontier fires
+on a bus event both lanes emit identically, so those replays take the warp
+lane; thread-count arming, an unarmed injector and the frontier recorder
+keep the scalar lane, because a cut between two threads of one warp needs
+per-thread retirement.  The parity suite in
+``tests/gpu/test_warp_parity.py`` holds the two lanes bit-identical on every
+converted workload, and ``tests/check/test_lane_differential.py`` holds
+event-frontier replays identical to their scalar reference.
 """
 
 from __future__ import annotations
@@ -53,7 +59,9 @@ def vectorized_for(scalar_kernel):
     with the same extra arguments as the scalar kernel; if it is a generator
     function, each ``yield`` is the block-wide barrier, mirroring the scalar
     convention.  The scalar callable stays the reference semantics - it runs
-    whenever a crash injector is armed or the scalar lane is forced.
+    when the scalar lane is forced, and under any crash injector except one
+    armed at an event frontier (thread-count arming, an unarmed injector,
+    the frontier recorder).
     """
 
     def register(warp_fn):
