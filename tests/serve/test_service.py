@@ -190,6 +190,10 @@ class TestBatcher:
 
 
 class TestRunService:
+    def test_config_accepts_fractions_that_sum_to_one(self):
+        # 1 - 0.9 rounds below 0.1; the bound is on the sum, as traffic's.
+        ServiceConfig(read_fraction=0.9, delete_fraction=0.1)
+
     def test_summary_is_byte_identical_per_seed(self):
         a = run_service(ServiceConfig(**SMALL_SERVICE))
         b = run_service(ServiceConfig(**SMALL_SERVICE))
