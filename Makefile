@@ -7,8 +7,7 @@ PY ?= python3
 JOBS ?= 1
 
 .PHONY: all figure_1 figure_3 figure_9 figure_10 figure_11a figure_11b \
-        figure_12 table_4 table_5 ablations extensions test bench \
-        bench_engine clean
+        figure_12 table_4 table_5 ablations extensions test bench clean
 
 figure_1:
 	$(PY) -m repro run figure1a figure1b
@@ -52,9 +51,6 @@ test:
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
-
-bench_engine:
-	$(PY) -m repro bench --jobs $(JOBS)
 
 clean:
 	rm -rf reports .pytest_cache

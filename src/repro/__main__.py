@@ -15,9 +15,6 @@ Commands
     ``~/.cache/repro`` (``--cache-dir`` moves it, ``--no-cache`` disables
     it) so repeat invocations are near-instant.  See
     ``docs/performance.md``.
-``bench``
-    Time the experiment engine (cold sequential vs cold parallel vs warm
-    cache) and write ``BENCH_experiments.json``.
 ``workload <name> [--mode MODE]``
     Run one GPMbench workload under one persistence mode and report its
     simulated time and traffic.
@@ -32,8 +29,10 @@ Commands
 ``serve [--tenants N --shards N --rate R --duration S --seed S ...]``
     Run the multi-tenant request-serving layer over gpKVS (admission
     control, warp-sized batching, sharded HCL logs) and print the service
-    summary; same seed, byte-identical summary.  ``bench --service``
-    writes ``BENCH_service.json``.  See ``docs/service.md``.
+    summary; same seed, byte-identical summary.  See ``docs/service.md``.
+
+Performance is measured by the repository benchmark, ``python3
+bench/run.py`` (see ``bench/README.md``), not by this CLI.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def _setup_engine(args) -> None:
     """Apply the shared ``--jobs`` / ``--cache-dir`` / ``--no-cache`` flags."""
     from .experiments import ResultCache, set_default_jobs, set_disk_cache
 
-    set_default_jobs(getattr(args, "jobs", 1) or 1)
+    set_default_jobs(args.jobs)
     if getattr(args, "no_cache", False):
         set_disk_cache(None)
     else:
@@ -106,44 +105,6 @@ def _cmd_all(args) -> int:
     _setup_engine(args)
     run_all(directory=args.reports, verbose=True, jobs=args.jobs)
     return 0
-
-
-def _cmd_bench(args) -> int:
-    if args.service:
-        args.out = args.out or "BENCH_service.json"
-        return _cmd_bench_service(args)
-    args.out = args.out or "BENCH_experiments.json"
-    from .experiments.bench import run_bench
-
-    record = run_bench(jobs=args.jobs, smoke=args.smoke,
-                       artefacts=args.artefacts, out=args.out,
-                       cache_dir=args.cache_dir)
-    print(f"artefacts          {len(record['artefacts'])} "
-          f"({record['runs']} engine runs)")
-    print(f"cold sequential    {record['cold_sequential_s']:.3f} s")
-    if record["cold_parallel_s"] is None:
-        print(f"cold parallel      {record['parallel_leg']}")
-    else:
-        print(f"cold parallel x{record['jobs']}  {record['cold_parallel_s']:.3f} s "
-              f"({record['parallel_speedup']}x)")
-    print(f"warm cache         {record['warm_s']:.3f} s "
-          f"({100 * record['warm_over_cold']:.1f}% of cold)")
-    print(f"saved {args.out}")
-    return 0
-
-
-def _cmd_bench_service(args) -> int:
-    from .serve.bench import run_service_bench, validate_service_record
-    from .serve.metrics import render_summary
-
-    record = run_service_bench(smoke=args.smoke, seed=args.seed, out=args.out)
-    print(render_summary(record["summary"]))
-    print(f"wall clock      {record['wall_s']:.3f} s")
-    print(f"saved {args.out}")
-    problems = validate_service_record(record)
-    for problem in problems:
-        print(f"FAIL: {problem}", file=sys.stderr)
-    return 1 if problems else 0
 
 
 def _cmd_serve(args) -> int:
@@ -280,6 +241,14 @@ def _cmd_check(args) -> int:
     from .check.explorer import explore_frontier
     from .check.report import render_single
 
+    for flag in ("max_frontiers", "litmus", "litmus_frontiers"):
+        if getattr(args, flag) < 0:
+            raise SystemExit(f"check: --{flag.replace('_', '-')} must be "
+                             f">= 0, got {getattr(args, flag)}")
+    try:
+        frontier = parse_frontier(args.frontier) if args.frontier else None
+    except ValueError as exc:
+        raise SystemExit(f"check: {exc}")
     if args.litmus_replay:
         return _cmd_check_litmus_replay(args)
     if args.litmus:
@@ -292,8 +261,7 @@ def _cmd_check(args) -> int:
         make_oracle(args.target)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    if args.frontier:
-        frontier = parse_frontier(args.frontier)
+    if frontier is not None:
         result = explore_frontier(args.target, mode.value, frontier)
         print(render_single(args.target, mode.value, result))
         return 0 if result.status == "ok" else 1
@@ -330,26 +298,6 @@ def main(argv=None) -> int:
     allp = sub.add_parser("all", help="regenerate everything")
     allp.add_argument("--reports", default="reports")
     engine_flags(allp)
-    bench = sub.add_parser(
-        "bench", help="time the engine: cold vs parallel vs warm cache")
-    bench.add_argument("--jobs", type=int, default=2,
-                       help="pool width for the parallel leg")
-    bench.add_argument("--smoke", action="store_true",
-                       help="bench only a small artefact subset (CI)")
-    bench.add_argument("--artefacts", nargs="+", default=None,
-                       help="explicit artefact names to bench")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default: "
-                            "BENCH_experiments.json, or BENCH_service.json "
-                            "with --service)")
-    bench.add_argument("--cache-dir", default=None,
-                       help="reuse this cache directory for the warm legs "
-                            "(default: a throw-away temp dir)")
-    bench.add_argument("--service", action="store_true",
-                       help="bench the request-serving layer instead "
-                            "(writes BENCH_service.json)")
-    bench.add_argument("--seed", type=int, default=42,
-                       help="service traffic seed (with --service)")
     from .sim.persistency import known_mode_names
 
     mode_help = " | ".join(known_mode_names())
@@ -421,10 +369,12 @@ def main(argv=None) -> int:
                     help="skip the seed-corpus pin stage")
     engine_flags(ck)
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        raise SystemExit(f"{args.command}: --jobs must be >= 1, "
+                         f"got {args.jobs}")
     return {"list": _cmd_list, "run": _cmd_run, "all": _cmd_all,
-            "bench": _cmd_bench, "workload": _cmd_workload,
-            "trace": _cmd_trace, "check": _cmd_check,
-            "serve": _cmd_serve}[args.command](args)
+            "workload": _cmd_workload, "trace": _cmd_trace,
+            "check": _cmd_check, "serve": _cmd_serve}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .runner import (
     RunRequest,
     adopt_config,
     clear_cache,
-    drain_run_timings,
     effective_jobs,
     get_default_jobs,
     get_disk_cache,
@@ -227,7 +226,6 @@ __all__ = [
     "ResultCache",
     "RunRequest",
     "adopt_config",
-    "drain_run_timings",
     "effective_jobs",
     "install_memo",
     "shared_pool",

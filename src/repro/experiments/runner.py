@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -94,10 +93,6 @@ _default_jobs: int = 1
 #: Section 4.3 binomial counter-example), registered by their consumers.
 _extra_workloads: dict[str, Callable[[], object]] = {}
 
-#: Wall-clock of every fresh (non-cached) run executed since the last
-#: :func:`drain_run_timings` - the attribution trail the bench records.
-_run_timings: list[dict] = []
-
 #: The engine's persistent fork pool (see :func:`shared_pool`).
 _pool = None
 _pool_width = 0
@@ -144,9 +139,10 @@ def effective_jobs(jobs: int) -> int:
     """Clamp a requested pool width to the CPUs actually available.
 
     The simulation is pure Python compute, so forking more workers than
-    cores strictly loses: on a 1-core host the smoke bench's 2-worker cold
-    leg ran at 0.90x sequential - all contention and fork overhead, no
-    parallelism.  A clamped width of 1 skips the pool entirely.
+    cores strictly loses: on a 1-core host a 2-worker cold ``run_all`` of
+    a small artefact subset ran at 0.90x sequential - all contention and
+    fork overhead, no parallelism.  A clamped width of 1 skips the pool
+    entirely.
     """
     return max(1, min(int(jobs), available_cpus()))
 
@@ -156,11 +152,11 @@ def shared_pool(jobs: int):
 
     Fork-pool startup used to be paid twice per ``run_all`` (once for the
     prefetch wave, once for the table builders) and again on every later
-    batch; on the smoke bench that overhead alone pushed the parallel leg
-    *slower* than sequential.  Workers never rely on fork-time state: runs
-    always execute fresh (:func:`_execute`) and table builders receive the
-    run memo and the active config explicitly, so one long-lived pool is
-    safe to share.
+    batch; on a small artefact subset that overhead alone pushed a
+    parallel run *slower* than a sequential one.  Workers never rely on
+    fork-time state: runs always execute fresh (:func:`_execute`) and table
+    builders receive the run memo and the active config explicitly, so one
+    long-lived pool is safe to share.
     """
     global _pool, _pool_width
     jobs = max(2, int(jobs))
@@ -185,23 +181,6 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-def drain_run_timings() -> list[dict]:
-    """Return (and clear) the per-run wall-clock entries recorded so far."""
-    out = list(_run_timings)
-    _run_timings.clear()
-    return out
-
-
-def _note_timing(req: RunRequest, payload: dict) -> None:
-    wall = payload.get("wall_s")
-    if wall is not None:
-        _run_timings.append({
-            "workload": req.workload, "mode": req.mode.value,
-            "persistency": req.mode.persistency_model,
-            "profiled": req.profiled, "wall_s": round(float(wall), 3),
-        })
 
 
 def register_workload(name: str, factory: Callable[[], object]) -> None:
@@ -252,27 +231,20 @@ def _execute(workload: str, mode_value: str, profiled: bool,
     Module-level and picklable: this is the unit of work the fork pool
     dispatches (the same pattern as ``repro.check.explorer``).  Returning
     payloads rather than live objects keeps the parallel and sequential
-    paths on one serialization, so their results cannot diverge.  The
-    payload carries the run's wall-clock (``wall_s``) so the bench can
-    attribute regressions to individual runs.
+    paths on one serialization, so their results cannot diverge.
     """
     adopt_config(config)
     mode = Mode(mode_value)
-    start = time.perf_counter()
     try:
         if profiled:
             sink = ProfileSink()
             with record_events(sink):
                 result = _fresh(workload).run(mode)
             return {"result": result_to_record(result),
-                    "profile": profile_to_record(sink.summary),
-                    "wall_s": time.perf_counter() - start}
-        result = _fresh(workload).run(mode)
-        return {"result": result_to_record(result),
-                "wall_s": time.perf_counter() - start}
+                    "profile": profile_to_record(sink.summary)}
+        return {"result": result_to_record(_fresh(workload).run(mode))}
     except GpufsUnsupported as exc:
-        return {"unsupported": exc.reason,
-                "wall_s": time.perf_counter() - start}
+        return {"unsupported": exc.reason}
 
 
 def _execute_litmus(test_payload: dict, point_spec: str, mutant: str | None,
@@ -354,7 +326,6 @@ def _obtain(req: RunRequest) -> None:
             _install_payload(req, config, payload)
             return
     payload = _execute(req.workload, req.mode.value, req.profiled)
-    _note_timing(req, payload)
     _install_payload(req, config, payload)
     if _disk_cache is not None:
         _disk_cache.store_run(req.workload, req.mode, req.profiled, config, payload)
@@ -450,7 +421,6 @@ def prefetch(requests: Iterable, jobs: int | None = None) -> None:
         # so static chunking would serialise behind the slow ones.
         payloads = shared_pool(jobs).starmap(_execute, args, chunksize=1)
         for req, payload in zip(pending, payloads):
-            _note_timing(req, payload)
             _install_payload(req, config, payload)
             if _disk_cache is not None:
                 _disk_cache.store_run(req.workload, req.mode, req.profiled,

@@ -23,8 +23,9 @@ layer on top of the existing simulator:
   the service events into sustained throughput, per-tenant latency
   percentiles, batch occupancy, and shed rates.
 
-``python -m repro serve`` drives one run; ``python -m repro bench
---service`` writes ``BENCH_service.json``.  See ``docs/service.md``.
+``python -m repro serve`` drives one run; the repository benchmark's
+``serve-ladder`` workload times a rate ladder (``bench/README.md``).  See
+``docs/service.md``.
 """
 
 from .admission import AdmissionController, TokenBucket

@@ -24,7 +24,6 @@ carrying its queueing + execution latency on the simulated clock.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +55,6 @@ class Batcher:
                 f"log geometry ({store.config.max_batch})")
         self.pending: list[Request] = []
         self.flushes = 0
-        #: host wall-clock seconds each flush took (compaction, staging,
-        #: launches, completion events) - diagnostics only, never part of
-        #: the deterministic summary
-        self.flush_wall: list[float] = []
 
     # -- trigger ------------------------------------------------------------
 
@@ -117,7 +112,6 @@ class Batcher:
         """
         if not self.pending:
             return 0
-        wall0 = time.perf_counter()
         take = self.config.target_batch
         batch, self.pending = self.pending[:take], self.pending[take:]
         self.admission.drained(len(batch))
@@ -151,5 +145,4 @@ class Batcher:
             events.emit(ServiceComplete(tenant=req.tenant, op=req.op,
                                         latency=done - req.arrival,
                                         coalesced=True))
-        self.flush_wall.append(time.perf_counter() - wall0)
         return len(batch)

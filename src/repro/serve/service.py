@@ -91,31 +91,11 @@ class ServiceConfig:
         return BatcherConfig(target_batch=self.target_batch, linger=self.linger)
 
 
-def flush_wall_stats(samples: list[float]) -> dict:
-    """Percentile digest of per-flush host wall-clock seconds.
-
-    Host-side diagnostics for the pipelined flush path: *not* part of the
-    deterministic ``summary`` (wall time varies run to run by nature).
-    """
-    if not samples:
-        return {"flushes": 0, "p50_us": None, "p95_us": None, "total_s": 0.0}
-    ordered = sorted(samples)
-    p50 = ordered[len(ordered) // 2]
-    p95 = ordered[min(len(ordered) - 1, int(len(ordered) * 0.95))]
-    return {
-        "flushes": len(samples),
-        "p50_us": round(p50 * 1e6, 2),
-        "p95_us": round(p95 * 1e6, 2),
-        "total_s": round(sum(samples), 6),
-    }
-
-
 def run_service(config: ServiceConfig | None = None, system=None,
                 crash_injector=None) -> dict:
-    """Run one served window; returns ``{"config", "summary", "flush_wall"}``.
+    """Run one served window; returns ``{"config", "summary"}``.
 
-    ``summary`` is deterministic per seed; ``flush_wall`` is a host
-    wall-clock digest of the batcher's flushes (diagnostics, varies).
+    ``summary`` is deterministic per seed.
 
     With a ``crash_injector`` armed, a mid-flush
     :class:`~repro.sim.crash.SimulatedCrash` propagates to the caller with
@@ -139,5 +119,4 @@ def run_service(config: ServiceConfig | None = None, system=None,
         metrics.detach(system.events)
     elapsed = system.clock.now - start
     summary = metrics.summary(elapsed)
-    return {"config": asdict(config), "summary": summary,
-            "flush_wall": flush_wall_stats(batcher.flush_wall)}
+    return {"config": asdict(config), "summary": summary}

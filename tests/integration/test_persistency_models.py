@@ -197,29 +197,3 @@ def test_broken_demo_bug_is_model_specific():
     assert any(r.status == "violation" for r in strict.results)
     epoch = explore("broken-demo", Mode.GPM_EPOCH, max_frontiers=0)
     assert all(r.status == "ok" for r in epoch.results)
-
-
-# ---------------------------------------------------------------------------
-# experiment plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_run_timings_carry_persistency_model():
-    from repro.experiments.runner import RunRequest, _note_timing, drain_run_timings
-
-    drain_run_timings()
-    _note_timing(RunRequest("PS", Mode.GPM, False), {"wall_s": 0.5})
-    _note_timing(RunRequest("PS", Mode.GPM_EPOCH, False), {"wall_s": 0.5})
-    _note_timing(RunRequest("PS", Mode.GPM_EADR, False), {"wall_s": 0.5})
-    models = [r["persistency"] for r in drain_run_timings()]
-    assert models == ["strict", "epoch", "eadr"]
-
-
-def test_bench_persistency_models_block():
-    from repro.experiments.bench import persistency_models
-
-    block = persistency_models()
-    assert "epoch" in block["registered"]
-    assert block["mode_to_model"]["gpm"] == "strict"
-    assert block["mode_to_model"]["gpm-adaptive"] == "adaptive"
-    assert block["mode_to_model"]["gpm-eadr"] == "eadr"

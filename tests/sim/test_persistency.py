@@ -69,6 +69,15 @@ def test_mode_registry_matches_mode_enum():
         assert mode.persistency_model == entry.model
 
 
+@pytest.mark.parametrize("mode,model", [
+    ("gpm", "strict"), ("gpm-epoch", "epoch"), ("gpm-eadr", "eadr"),
+    ("gpm-adaptive", "adaptive"),
+])
+def test_mode_to_model_pins(mode, model):
+    assert mode_entry(mode).model == model
+    assert Mode(mode).persistency_model == model
+
+
 def test_mode_entry_unknown_name_lists_known():
     with pytest.raises(ValueError) as err:
         mode_entry("gpm-bogus")
