@@ -1,43 +1,51 @@
-"""Micro-benchmark of the LLC capacity-eviction write-back.
+"""Micro-benchmarks of the LLC dirty set, against the reference model.
 
-One ``install_writes`` of a 2 MiB region into a full 2 MiB DDIO window
-evicts every cached line in one burst - the shape of a BLK or DNN
-checkpoint under eADR.  The cached lines come from two regions interleaved
-in 512-line chunks, so the burst crosses 64 same-region runs.
+``test_eviction_burst``: one ``install_writes`` of a 2 MiB region into a
+full 2 MiB DDIO window evicts every cached line in one burst - the shape
+of a BLK or DNN checkpoint under eADR.  The cached lines come from two
+regions interleaved in 512-line chunks, so the burst crosses 64
+same-region runs.
 
-The shipped path drains each run with one vectorized ``write_epochs`` call
-(see ``docs/performance.md``, "LLC write-back path"); the reference twin
-pops and drains one line per ``write_epoch`` call, the historical loop.
+``test_fs_write_then_drop``: a CAP-fs ``fs.write`` + ``fsync`` - one
+single-segment 64 KiB install, then a ``drop_range`` of it once the bulk
+flush has persisted the bytes.
+
+``test_warp_drain_then_flush``: a DDIO-on warp drain - a 3-segment install
+of a few lines - then a ``flush_range`` over them.
+
+The shipped cache keeps per-line LRU stamps in arrays (see
+``docs/performance.md``, "LLC write-back path"); the reference is the
+``OrderedDict`` model of ``tests/sim/test_cache.py``, which walks every
+line in Python and evicts one ``write_epoch`` per line.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.sim import Machine, SystemConfig
-from repro.sim.cache import LastLevelCache
-from repro.sim.events import LlcEvict
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "sim"))
+from test_cache import ReferenceLlc  # noqa: E402
 
 _LINE = 64
 _LINES = 32768
 _CHUNK = 512
 
-
-class _PerLineLlc(LastLevelCache):
-    def _evict_over_capacity(self):
-        evicted = 0
-        while len(self._dirty) > self._capacity_lines:
-            _, (region, line) = self._dirty.popitem(last=False)
-            start = line * self._line
-            self._optane.write_epoch(region, [start], [min(self._line, region.size - start)])
-            evicted += 1
-        if evicted:
-            self._events.emit(LlcEvict(lines=evicted))
+_MODELS = pytest.mark.parametrize("reference", [False, True], ids=["shipped", "reference"])
 
 
-def _full_llc(per_line: bool) -> Machine:
-    machine = Machine(SystemConfig().with_overrides(llc_ddio_bytes=_LINES * _LINE))
-    if per_line:
-        machine.llc = _PerLineLlc(machine.config, machine.events, machine.optane)
+def _machine(reference: bool, llc_bytes: int = _LINES * _LINE) -> Machine:
+    machine = Machine(SystemConfig().with_overrides(llc_ddio_bytes=llc_bytes))
+    if reference:
+        machine.llc = ReferenceLlc(machine.config, machine.events, machine.optane)
+    return machine
+
+
+def _full_llc(reference: bool) -> Machine:
+    machine = _machine(reference)
     half = _LINES // 2 * _LINE
     a, b = machine.alloc_pm("a", half), machine.alloc_pm("b", half)
     for offset in range(0, half, _CHUNK * _LINE):
@@ -48,13 +56,13 @@ def _full_llc(per_line: bool) -> Machine:
     return machine
 
 
-@pytest.mark.parametrize("per_line", [False, True], ids=["batched", "per-line"])
-def test_eviction_burst(benchmark, per_line):
+@_MODELS
+def test_eviction_burst(benchmark, reference):
     """A 32,768-line eviction burst over two interleaved regions."""
     machines = []
 
     def setup():
-        machines[:] = [_full_llc(per_line)]
+        machines[:] = [_full_llc(reference)]
         return (machines[0],), {}
 
     def run(machine):
@@ -65,3 +73,37 @@ def test_eviction_burst(benchmark, per_line):
     machine = machines[0]
     assert machine.stats.llc_evictions == _LINES
     assert (machine.region("b").persisted_view(np.uint8) == 0x3C).all()
+
+
+@_MODELS
+def test_fs_write_then_drop(benchmark, reference):
+    """A 64 KiB single-segment install, then a drop of the same range."""
+    machine = _machine(reference)
+    region = machine.alloc_pm("file", 1 << 20)
+    size = 64 * 1024
+
+    def run():
+        machine.llc.install_writes(region, [4096], [size])
+        machine.llc.drop_range(region, 4096, size)
+
+    benchmark(run)
+    assert len(machine.llc) == 0
+    assert machine.stats.llc_ddio_fills > 0
+    assert machine.stats.llc_ddio_hits == 0
+
+
+@_MODELS
+def test_warp_drain_then_flush(benchmark, reference):
+    """A 3-segment install of five lines, then a flush over them."""
+    machine = _machine(reference)
+    region = machine.alloc_pm("log", 1 << 16)
+    region.visible[:] = 0x5A
+    starts, lengths = [0, 4096, 8192 + 32], [64, 128, 64]
+
+    def run():
+        machine.llc.install_writes(region, starts, lengths)
+        machine.llc.flush_range(region, 0, 8192 + 96)
+
+    benchmark(run)
+    assert len(machine.llc) == 0
+    assert (region.persisted[8192:8192 + 128] == 0x5A).all()

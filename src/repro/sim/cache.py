@@ -20,13 +20,20 @@ store of **dirty cache lines** sitting in front of persistent memory:
 
 Only lines backed by PM regions are tracked: dirty DRAM lines need no
 write-back bookkeeping because DRAM is lost on crash anyway.
+
+The dirty set is array-backed (see ``docs/performance.md``, "LLC write-back
+path").  Each PM region gets a contiguous block of global line ids on its
+first install; ``_stamp[gid]`` holds that line's LRU stamp, 0 when clean.
+``_log`` appends the line id of every touch: a dirty line's stamp is one
+plus the log position of its latest touch, so entry ``i`` is live exactly
+when ``_stamp[_log[i]] == i + 1``.  Entries of lines touched again,
+flushed, dropped or evicted since go stale and are skipped lazily; the live
+entries, in log order, are the LRU order (oldest first).  Range flushes and
+drops are one slice of the stamp array, and a single-segment install is one
+slice assignment.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
-from itertools import groupby, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -34,6 +41,11 @@ from .config import SystemConfig
 from .events import EventBus, LlcEvict, LlcFlush, LlcInstall
 from .memory import MemKind, Region
 from .optane import OptaneModel
+
+#: Smallest log allocation, in entries.
+_MIN_LOG = 1024
+#: Installs of at most this many lines update the arrays element by element.
+_LOOP_LINES = 8
 
 
 class LastLevelCache:
@@ -45,20 +57,33 @@ class LastLevelCache:
         self._optane = optane
         self._line = config.cpu_cache_line_bytes
         self._capacity_lines = config.llc_ddio_bytes // self._line
-        # (region.token, line_no) -> region, in LRU order (oldest first).
-        # Tokens are monotonic and never reused, unlike id(): a freed
-        # region's stale dirty lines can never alias a later allocation.
-        self._dirty: OrderedDict[tuple[int, int], tuple[Region, int]] = OrderedDict()
+        # region.token -> (first gid, line count, block index).  Tokens are
+        # monotonic and never reused, unlike id(): a freed region's stale
+        # dirty lines can never alias a later allocation.
+        self._blocks: dict[int, tuple[int, int, int]] = {}
+        self._owners: list[Region | None] = []  # block index -> region
+        self._bases: list[int] = []  # block index -> first gid, ascending
+        self._bases_arr: np.ndarray | None = None  # cached for drains
+        self._spare: dict[int, list[int]] = {}  # line count -> released blocks
+        self._top = 0  # gids handed out so far
+        self._stamp = np.zeros(0, dtype=np.int64)
+        self._log = np.empty(_MIN_LOG, dtype=np.int64)
+        self._head = 0  # every log entry before this one is stale
+        self._tail = 0  # next free log position
+        self._count = 0  # dirty lines
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._dirty)
+        return self._count
 
     def dirty_lines(self, region: Region) -> list[int]:
         """Line numbers of ``region`` currently dirty in the LLC (sorted)."""
-        rid = region.token
-        return sorted(line for (r, line), _ in self._dirty.items() if r == rid)
+        block = self._blocks.get(region.token)
+        if block is None:
+            return []
+        base, n_lines, _ = block
+        return self._stamp[base:base + n_lines].nonzero()[0].tolist()
 
     def install_writes(self, region: Region, starts, lengths) -> None:
         """Record stores to PM-backed lines arriving at the LLC.
@@ -70,33 +95,71 @@ class LastLevelCache:
         """
         if region.kind is not MemKind.PM:
             return
-        starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-        lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
-        total = int(lengths.sum())
+        starts = np.array(starts, dtype=np.int64, ndmin=1)
+        lengths = np.array(lengths, dtype=np.int64, ndmin=1)
+        length_list = lengths.tolist()
         # Streaming fast path: traffic far exceeding the DDIO window writes
         # through continuously (lines evict as fast as they fill).  Persist
         # the head of the stream directly and cache only the tail.
-        if total > 2 * self._capacity_lines * self._line:
+        if sum(length_list) > 2 * self._capacity_lines * self._line:
             tail_bytes = self._capacity_lines * self._line
             starts, lengths = self._persist_all_but_tail(region, starts, lengths, tail_bytes)
-        rid = region.token
-        hits = fills = 0
-        for start, length in zip(starts.tolist(), lengths.tolist()):
-            if length <= 0:
-                continue
-            first = start // self._line
-            last = (start + length - 1) // self._line
-            for line in range(first, last + 1):
-                key = (rid, line)
-                if key in self._dirty:
-                    self._dirty.move_to_end(key)
-                    hits += 1
-                else:
-                    self._dirty[key] = (region, line)
+            length_list = lengths.tolist()
+        base, n_lines, _ = self._blocks.get(region.token) or self._new_block(region)
+        line = self._line
+        start_list = starts.tolist()
+        if len(start_list) == 1:
+            if length_list[0] <= 0:
+                return
+            first = start_list[0] // line
+            last = (start_list[0] + length_list[0] - 1) // line
+            order = range(first, last + 1)
+            touched = len(order)
+        else:
+            seq: list[int] = []
+            for start, length in zip(start_list, length_list):
+                if length > 0:
+                    seq.extend(range(start // line, (start + length - 1) // line + 1))
+            if not seq:
+                return
+            last = max(seq)
+            touched = len(seq)
+            # Distinct lines in last-touch order: a line written twice in
+            # one call moves to the end, as each touch refreshes its LRU slot.
+            order = list(dict.fromkeys(reversed(seq)))
+            order.reverse()
+        if last >= n_lines:
+            raise IndexError(f"LLC install past the end of region {region.name!r}")
+        n = len(order)
+        if self._tail + n > self._log.size:
+            self._compact(n)
+        t = self._tail
+        stamp, log = self._stamp, self._log
+        if n <= _LOOP_LINES:
+            # A few lines: element access beats numpy's per-call overhead.
+            fills = 0
+            for pos, gid in enumerate(order, t):
+                gid += base
+                if not stamp[gid]:
                     fills += 1
-        if hits or fills:
-            self._events.emit(LlcInstall(region=region.name, hits=hits, fills=fills))
-        self._evict_over_capacity()
+                log[pos] = gid
+                stamp[gid] = pos + 1
+        elif type(order) is range:
+            stamps = stamp[base + first:base + last + 1]
+            fills = n - int(np.count_nonzero(stamps))
+            stamps[:] = np.arange(t + 1, t + n + 1)
+            log[t:t + n] = np.arange(base + first, base + last + 1)
+        else:
+            gids = np.array(order, dtype=np.int64)
+            gids += base
+            fills = n - int(np.count_nonzero(stamp[gids]))
+            stamp[gids] = np.arange(t + 1, t + n + 1)
+            log[t:t + n] = gids
+        self._tail = t + n
+        self._count += fills
+        self._events.emit(LlcInstall(region=region.name, hits=touched - fills, fills=fills))
+        if self._count > self._capacity_lines:
+            self._evict_over_capacity()
 
     def _persist_all_but_tail(self, region, starts, lengths, tail_bytes):
         """Write the stream's head straight through; return the tail segments."""
@@ -133,30 +196,113 @@ class LastLevelCache:
         return np.asarray(keep_starts, dtype=np.int64), np.asarray(keep_lengths, dtype=np.int64)
 
     def _evict_over_capacity(self) -> None:
-        excess = len(self._dirty) - self._capacity_lines
-        if excess > 0:
-            self._drain(list(islice(self._dirty.values(), excess)), pop=True)
-            self._events.emit(LlcEvict(lines=excess))
+        excess = self._count - self._capacity_lines
+        gids, end = self._oldest(excess)
+        self._drain(gids, pop=True)
+        self._head = end
+        self._events.emit(LlcEvict(lines=excess))
 
-    def _drain(self, entries: list[tuple[Region, int]], pop: bool) -> None:
-        """Write ``entries`` (LRU order) back to PM, one Optane epoch per line.
+    def _drain(self, gids: np.ndarray, pop: bool) -> None:
+        """Write ``gids`` (LRU order) back to PM, one Optane epoch per line.
 
         Each same-region run is one vectorized ``write_epochs`` call.  With
-        ``pop`` the oldest dirty entry is popped just before its line
-        persists, so a crash at a line's epoch finds that line and every
-        earlier one persisted and the later ones still dirty (eADR drains
-        them).
+        ``pop`` each line is cleared just before it persists, so a crash at
+        a line's epoch finds that line and every earlier one persisted and
+        the later ones still dirty (eADR drains them).
 
         Natural evictions are asynchronous background traffic; they persist
         data functionally but are not charged to any foreground timeline.
         """
-        before = (lambda _g: self._dirty.popitem(last=False)) if pop else None
-        for region, run in groupby(entries, key=itemgetter(0)):
-            starts = np.fromiter((line for _, line in run), np.int64) * self._line
+        if self._bases_arr is None:
+            self._bases_arr = np.asarray(self._bases, dtype=np.int64)
+        blocks = self._bases_arr.searchsorted(gids, side="right") - 1
+        cuts = (blocks[1:] != blocks[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), gids.size]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = int(blocks[lo])
+            region = self._owners[block]
+            run = gids[lo:hi]
+            starts = (run - self._bases[block]) * self._line
             sizes = np.minimum(self._line, region.size - starts)
-            n = starts.size
+            before = None
+            if pop:
+                def before(g: int, _run=run.tolist(), _stamp=self._stamp) -> None:
+                    _stamp[_run[g]] = 0
+                    self._count -= 1
+            n = hi - lo
             self._optane.write_epochs(region, starts, sizes, np.arange(n), n,
                                       before_group=before)
+
+    # -- the arrays behind the dirty set ---------------------------------
+
+    def _new_block(self, region: Region) -> tuple[int, int, int]:
+        """Assign ``region`` its (first gid, line count, block index)."""
+        n_lines = -(-region.size // self._line)
+        spare = self._spare.get(n_lines)
+        if spare:
+            index = spare.pop()
+            base = self._bases[index]
+            self._owners[index] = region
+        else:
+            index, base = len(self._bases), self._top
+            self._top += n_lines
+            if self._top > self._stamp.size:
+                grown = np.zeros(max(2 * self._stamp.size, self._top), dtype=np.int64)
+                grown[:self._stamp.size] = self._stamp
+                self._stamp = grown
+            self._bases.append(base)
+            self._owners.append(region)
+            self._bases_arr = None
+        block = self._blocks[region.token] = (base, n_lines, index)
+        return block
+
+    def _release(self, region: Region) -> None:
+        """Return a wholly clean region's block for reuse by a same-sized one.
+
+        Stale log entries into the block stay stale: a later touch gets a
+        later log position, hence a different stamp.
+        """
+        _, n_lines, index = self._blocks.pop(region.token)
+        self._owners[index] = None
+        self._spare.setdefault(n_lines, []).append(index)
+
+    def _live(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Log positions (relative to ``lo``) and gids of live entries in ``[lo, hi)``."""
+        gids = self._log[lo:hi]
+        live = (self._stamp[gids] == np.arange(lo + 1, hi + 1)).nonzero()[0]
+        return live, gids[live]
+
+    def _compact(self, n: int) -> None:
+        """Make room for ``n`` log appends: keep only the live entries."""
+        _, live = self._live(self._head, self._tail)
+        kept = live.size
+        if 2 * (kept + n) > self._log.size:
+            self._log = np.empty(max(2 * (kept + n), _MIN_LOG), dtype=np.int64)
+        self._log[:kept] = live
+        # Renumber to the new positions; the relative order is unchanged.
+        self._stamp[live] = np.arange(1, kept + 1)
+        self._head, self._tail = 0, kept
+
+    def _oldest(self, k: int) -> tuple[np.ndarray, int]:
+        """The ``k`` least recently touched dirty lines' gids, oldest first.
+
+        Also returns the log position just past the last of them.
+        """
+        pieces = []
+        pos, chunk = self._head, max(2 * k, 64)
+        while k > 0 and pos < self._tail:
+            hi = min(pos + chunk, self._tail)
+            live, gids = self._live(pos, hi)
+            if live.size >= k:
+                pieces.append(gids[:k])
+                pos += int(live[k - 1]) + 1
+                break
+            pieces.append(gids)
+            k -= live.size
+            pos = hi
+            chunk *= 2
+        gids = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        return gids, pos
 
     # ------------------------------------------------------------------
 
@@ -168,56 +314,54 @@ class LastLevelCache:
         flush-grain access patterns pay Optane's partial-line penalty).
         Returns the media seconds consumed.
         """
-        if region.kind is not MemKind.PM or size <= 0:
+        stamps, first = self._range(region, offset, size)
+        if stamps is None:
             return 0.0
-        rid = region.token
-        first = offset // self._line
-        last = (offset + size - 1) // self._line
-        span_lines = last - first + 1
-        # Walk whichever is smaller: the address range or the dirty set.
-        if span_lines <= len(self._dirty):
-            hits = [
-                line
-                for line in range(first, last + 1)
-                if (rid, line) in self._dirty
-            ]
-        else:
-            hits = [
-                line
-                for (r, line) in list(self._dirty)
-                if r == rid and first <= line <= last
-            ]
-        if not hits:
+        hits = stamps.nonzero()[0]
+        if not hits.size:
             return 0.0
         # Announce before touching the dirty set: a crash during this
         # emission must see the lines either still cached (eADR drains
         # them) or already persisted - never in between.  Real hardware
         # has no such limbo (a CLFLUSHOPT'd line is in the cache or in the
         # ADR-protected controller queue); found by the litmus fuzzer.
-        self._events.emit(LlcFlush(region=region.name, lines=len(hits)))
-        for line in hits:
-            del self._dirty[(rid, line)]
-        starts = np.asarray(sorted(hits), dtype=np.int64) * self._line
-        return self._optane.flush_lines(region, starts, self._line)
+        self._events.emit(LlcFlush(region=region.name, lines=hits.size))
+        stamps[hits] = 0
+        self._count -= hits.size
+        hits += first
+        hits *= self._line
+        return self._optane.flush_lines(region, hits, self._line)
 
     def drop_range(self, region: Region, offset: int, size: int) -> None:
         """Forget dirty lines in a range that were persisted by other means.
 
         Used when a bulk flush already drained the range's visible bytes to
-        PM (e.g. :meth:`OptaneModel.write_flush_grain`), so a per-line
-        write-back would double-charge the media.
+        PM (e.g. :meth:`OptaneModel.write_flush_grain`), and when a region
+        is freed; a per-line write-back would double-charge the media.
+        """
+        stamps, _ = self._range(region, offset, size)
+        if stamps is None:
+            return
+        self._count -= int(np.count_nonzero(stamps))
+        stamps[:] = 0
+        if offset <= 0 and offset + size >= region.size:
+            self._release(region)
+
+    def _range(self, region: Region, offset: int, size: int):
+        """The stamp slice of ``region``'s lines covering ``[offset, offset+size)``.
+
+        Returns ``(stamps, first line)``, or ``(None, 0)`` when no line of
+        the range can be dirty.
         """
         if region.kind is not MemKind.PM or size <= 0:
-            return
-        rid = region.token
+            return None, 0
+        block = self._blocks.get(region.token)
+        if block is None:
+            return None, 0
+        base, n_lines, _ = block
         first = offset // self._line
-        last = (offset + size - 1) // self._line
-        if last - first + 1 <= len(self._dirty):
-            for line in range(first, last + 1):
-                self._dirty.pop((rid, line), None)
-        else:
-            for key in [k for k in self._dirty if k[0] == rid and first <= k[1] <= last]:
-                del self._dirty[key]
+        last = min((offset + size - 1) // self._line, n_lines - 1)
+        return self._stamp[base + first:base + last + 1], first
 
     def flush_region(self, region: Region) -> float:
         """Flush every dirty line of ``region``; returns media seconds."""
@@ -233,6 +377,7 @@ class LastLevelCache:
         3.3: the feature "will drain the entire contents of CPU caches to
         PM on power failures").
         """
-        if eadr:
-            self._drain(list(self._dirty.values()), pop=False)
-        self._dirty.clear()
+        if eadr and self._count:
+            self._drain(self._oldest(self._count)[0], pop=False)
+        self._stamp.fill(0)
+        self._head = self._tail = self._count = 0

@@ -291,6 +291,78 @@ def delete_kernel(ctx, keys, values, mirror_keys, mirror_values, batch_keys,
     touched.append(base + loc)
 
 
+@vectorized_for(delete_kernel)
+def delete_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
+                n_ops, n_sets, ways, log, touched):
+    """Warp-vectorized DELETE batch.
+
+    Every active lane loads its key and its set's row; only lanes that find
+    their key read the old value (when logging), log the pair, zero the
+    slot and persist, as in :func:`delete_kernel`.  Lanes sharing a set are
+    the one sequential hazard - a key repeated in the warp is gone by the
+    time its second lane looks, so that lane logs nothing - and, as in
+    :func:`set_warp`, such warps search lane by lane over the live table.
+    """
+    sel = wctx.active(wctx.global_ids < n_ops)
+    if sel.size == 0:
+        return
+    g = wctx.global_ids[sel]
+    k = sel.size
+    bkeys = batch_keys.read_warp(wctx, g, lanes=sel)
+    wctx.charge_ops(6 * k)  # hashing
+    set_idxs = (hash64_vec(bkeys) % np.uint64(n_sets)).astype(np.int64)
+    bases = set_idxs * ways
+    wctx.meter_loads(keys.region, k, 8 * ways)  # the per-thread row read_vec
+    keys_live = keys.np
+    values_live = values.np
+    if np.unique(bases).size == k:
+        # No two lanes share a set: the searches are independent.
+        rows = keys_live[(bases[:, None] + np.arange(ways)).reshape(-1)]
+        match = rows.reshape(k, ways) == bkeys[:, None]
+        found = match.any(axis=1)
+        locs = bases[found] + match.argmax(axis=1)[found]
+        old_values = values_live[locs]
+    else:
+        found = np.zeros(k, dtype=bool)
+        hit_locs: list[int] = []
+        hit_values: list[int] = []
+        for j, key in enumerate(bkeys.tolist()):
+            base = int(bases[j])
+            hits = np.flatnonzero(keys_live[base:base + ways] == key)
+            if hits.size:
+                loc = base + int(hits[0])
+                found[j] = True
+                hit_locs.append(loc)
+                hit_values.append(int(values_live[loc]))
+                keys_live[loc] = 0
+                values_live[loc] = 0
+        locs = np.asarray(hit_locs, dtype=np.int64)
+        old_values = np.asarray(hit_values, dtype=np.uint64)
+    if not found.any():
+        return  # absent keys: nothing to delete, nothing to log
+    lanes = sel[found]
+    n_found = lanes.size
+    if log is not None:
+        wctx.meter_loads(values.region, n_found, 8)  # the old-value read
+        old_keys = bkeys[found]
+        entries = np.empty((n_found, 6), dtype=np.uint32)
+        entries[:, 0] = set_idxs[found].astype(np.uint32)
+        entries[:, 1] = (locs - bases[found]).astype(np.uint32)
+        entries[:, 2] = (old_keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+        entries[:, 3] = (old_keys >> np.uint64(32)).astype(np.uint32)
+        entries[:, 4] = (old_values & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+        entries[:, 5] = (old_values >> np.uint64(32)).astype(np.uint32)
+        log.insert_warp(wctx, entries, lanes=lanes)
+    zeros = np.zeros(n_found, dtype=np.uint64)
+    keys.write_warp(wctx, locs, zeros, lanes=lanes)
+    values.write_warp(wctx, locs, zeros, lanes=lanes)
+    wctx.persist(lanes)
+    if mirror_keys is not None:
+        mirror_keys.write_warp(wctx, locs, zeros, lanes=lanes)
+        mirror_values.write_warp(wctx, locs, zeros, lanes=lanes)
+    touched.extend(locs.tolist())
+
+
 def _recovery_kernel(ctx, keys, values, mirror_keys, mirror_values, log, ways, n_ops):
     i = ctx.global_id
     if i >= n_ops:

@@ -8,6 +8,8 @@ event stream, persisted and visible memory images byte for byte, and the
 golden-report record ``repro all`` would serialise.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from repro.workloads.db import (
     update_kernel,
     update_recovery_kernel,
 )
-from repro.workloads.kvs import GpKvs, KvsConfig, set_kernel
+from repro.workloads.kvs import GpKvs, KvsConfig, delete_kernel, set_kernel
 from repro.workloads.prefix_sum import (
     PrefixSum,
     PrefixSumConfig,
@@ -163,6 +165,7 @@ def test_crash_injector_forces_scalar_lane():
     # get the reference interpreter; frontier arming takes the warp lane.
     assert resolve_warp_impl(partial_sums_kernel) is not None
     assert resolve_warp_impl(set_kernel) is not None
+    assert resolve_warp_impl(delete_kernel) is not None
     assert resolve_warp_impl(pricing_kernel) is not None
     assert resolve_warp_impl(bfs_kernel) is not None
     assert resolve_warp_impl(srad_plane_kernel) is not None
@@ -200,6 +203,89 @@ def test_crash_injector_forces_scalar_lane():
     assert lanes_under("threads") == {"scalar"}
     assert lanes_under("recorder") == {"scalar"}
     assert lanes_under("frontier") == {"warp"}
+
+
+def _kvs_delete_collected(config, mode, batches, forced_scalar):
+    """Fill a gpKVS table, then delete ``batches`` on the chosen lane."""
+    workload = GpKvs(config)
+    system = make_system(mode)
+    workload.run(mode, system=system)
+    stored = workload._state[3].np
+    keys = stored[stored != 0]
+    events = []
+    system.events.subscribe(lambda ts, ev: events.append(event_to_record(ts, ev)))
+    lanes = []
+    orig = system.gpu.launch
+
+    def spy(*args, **kwargs):
+        res = orig(*args, **kwargs)
+        lanes.append(res.lane)
+        return res
+
+    system.gpu.launch = spy
+    start = system.clock.now
+    with scalar_lane() if forced_scalar else contextlib.nullcontext():
+        present = [workload.delete_batch(batch(keys)) for batch in batches]
+    images = {r.name: (r.visible.copy(),
+                       None if r.persisted is None else r.persisted.copy())
+              for r in system.machine.regions}
+    return present, system.clock.now - start, events, images, lanes
+
+
+_ABSENT = np.arange(10**9, 10**9 + 32, dtype=np.uint64)
+
+
+def _interleave_absent(keys):
+    present = keys[keys.size // 2:keys.size // 2 + 32]
+    mixed = np.column_stack([present, _ABSENT[:present.size]]).ravel()
+    return np.concatenate([_ABSENT, mixed])
+
+
+#: Delete batches, each built from the keys the set phase stored.
+_DELETE_BATCHES = [
+    # Present keys only.
+    lambda keys: keys[:keys.size // 3],
+    # Every key twice in a row: the second lane of each pair finds its
+    # key already gone and must log nothing (the sequential fallback).
+    lambda keys: np.repeat(keys[keys.size // 3:keys.size // 3 + 32], 2),
+    # Absent keys, then absent ones interleaved with present ones: the
+    # first warp finds nothing.
+    _interleave_absent,
+]
+
+DELETE_CASES = [
+    pytest.param(KvsConfig(n_sets=512, batch_size=256, set_batches=2), mode,
+                 id=f"kvs-{mode.value}")
+    for mode in (Mode.GPM, Mode.GPM_EADR, Mode.CAP_MM, Mode.GPM_EPOCH,
+                 Mode.GPM_RELAXED)
+] + [
+    # Tiny table: lanes of one warp share sets without sharing keys.
+    pytest.param(KvsConfig(n_sets=16, batch_size=128, set_batches=3), Mode.GPM,
+                 id="kvs-collide-gpm"),
+    # The conventional-log ablation's lock-serialised log inserts.
+    pytest.param(KvsConfig(n_sets=512, batch_size=128, set_batches=1, use_hcl=False),
+                 Mode.GPM, id="kvs-conv-gpm"),
+]
+
+
+@pytest.mark.parametrize("config,mode", DELETE_CASES)
+def test_kvs_delete_lane_parity(config, mode):
+    present_s, t_s, ev_s, img_s, lanes_s = _kvs_delete_collected(
+        config, mode, _DELETE_BATCHES, True)
+    present_w, t_w, ev_w, img_w, lanes_w = _kvs_delete_collected(
+        config, mode, _DELETE_BATCHES, False)
+    assert set(lanes_s) == {"scalar"} and set(lanes_w) == {"warp"}
+    assert present_s == present_w and present_w[0] > 0
+    assert t_s == t_w
+    assert ev_s == ev_w
+    assert img_s.keys() == img_w.keys()
+    for name, (vis_s, per_s) in img_s.items():
+        vis_w, per_w = img_w[name]
+        assert np.array_equal(vis_s, vis_w), name
+        if per_s is None or per_w is None:
+            assert per_s is per_w, name
+        else:
+            assert np.array_equal(per_s, per_w), name
 
 
 def _hashmap_batches():

@@ -1,12 +1,17 @@
 """LLC/DDIO model: dirty tracking, flushes, eviction, eADR crash."""
 
+import gc
+import weakref
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
-from repro.sim import Machine, SystemConfig
+from repro.sim import Machine, SystemConfig, cache
 from repro.sim.cache import LastLevelCache
 from repro.sim.crash import CrashInjector, SimulatedCrash
-from repro.sim.events import LlcEvict
+from repro.sim.events import LlcEvict, LlcFlush, LlcInstall
+from repro.sim.memory import MemKind
 
 
 class TestInstallAndFlush:
@@ -47,6 +52,19 @@ class TestInstallAndFlush:
         machine.llc.install_writes(r, [0], [128])
         machine.llc.drop_range(r, 0, 128)
         assert len(machine.llc) == 0
+
+    def test_install_past_region_end_is_rejected(self, machine):
+        r = machine.alloc_pm("x", 1024)
+        neighbour = machine.alloc_pm("y", 1024)
+        machine.llc.install_writes(r, [0], [8])
+        machine.llc.install_writes(neighbour, [0], [8])
+        with pytest.raises(IndexError):
+            machine.llc.install_writes(r, [1000], [64])
+        with pytest.raises(IndexError):
+            machine.llc.install_writes(r, [0, 1024], [8, 8])
+        with pytest.raises(IndexError):
+            machine.llc.install_writes(r, [0], [1024 + 20 * 64])
+        assert machine.llc.dirty_lines(neighbour) == [0]
 
     def test_hit_counting(self, machine):
         r = machine.alloc_pm("x", 1024)
@@ -123,12 +141,21 @@ class TestCrash:
 
 
 class TestTokenKeying:
-    """Dirty lines are keyed by Region.token, never by id()."""
+    """Dirty lines belong to one Region (its token), never to a name or id()."""
 
     def test_dirty_keys_use_region_tokens(self, machine):
-        r = machine.alloc_pm("x", 1024)
-        machine.llc.install_writes(r, [0], [64])
-        assert (r.token, 0) in machine.llc._dirty
+        # Two live regions with the same line numbers are tracked apart.
+        r1 = machine.alloc_pm("x", 1024)
+        r2 = machine.alloc_pm("y", 1024)
+        machine.llc.install_writes(r1, [0], [64])
+        machine.llc.install_writes(r2, [0], [128])
+        assert machine.llc.dirty_lines(r1) == [0]
+        assert machine.llc.dirty_lines(r2) == [0, 1]
+        machine.llc.flush_range(r1, 0, 1024)
+        assert machine.llc.dirty_lines(r2) == [0, 1]
+        machine.llc.drop_range(r2, 64, 64)
+        assert machine.llc.dirty_lines(r2) == [0]
+        assert len(machine.llc) == 1
 
     def test_leaked_region_lines_never_alias_a_reallocation(self):
         # A mapping dropped without Machine.free leaves its dirty lines
@@ -151,6 +178,16 @@ class TestTokenKeying:
         # The stale lines are still attributed to the leaked region only.
         assert len(machine.llc) == stale
 
+    def test_free_releases_the_region(self, machine):
+        # The cache keeps no reference to a freed region's buffers.
+        r = machine.alloc_pm("x", 1024)
+        machine.llc.install_writes(r, [0], [128])
+        freed = weakref.ref(r)
+        machine.free(r)
+        del r
+        gc.collect()
+        assert freed() is None
+
     def test_free_drops_lines_before_name_reuse(self, machine):
         r1 = machine.alloc_pm("x", 1024)
         machine.llc.install_writes(r1, [0], [128])
@@ -160,27 +197,86 @@ class TestTokenKeying:
         assert machine.llc.flush_range(r2, 0, 1024) == 0.0
 
 
-class PerLineLlc(LastLevelCache):
-    """Reference eviction path: pop one line, drain it as its own epoch.
+class ReferenceLlc:
+    """The original ``OrderedDict`` dirty set, kept as the reference model.
 
-    The batched ``write_epochs`` drain in :class:`LastLevelCache` must be
-    indistinguishable from this loop - same events, persisted bytes, dirty
-    order and Optane stream state, at every crash frontier.
+    Dirty lines are keyed ``(region.token, line)`` in LRU order (oldest
+    first); each eviction pops one line and drains it as its own
+    ``write_epoch``, and the eADR crash drain writes the lines back one by
+    one in LRU order.  The streaming head write-through is the shipped
+    helper, unchanged.  :class:`LastLevelCache` must be indistinguishable
+    from this class - same events with timestamps, dirty sets, persisted
+    bytes and Optane stream state, at every crash frontier.
     """
 
-    def _write_back(self, region, line):
-        start = line * self._line
-        size = min(self._line, region.size - start)
-        self._optane.write_epoch(region, [start], [size])
+    def __init__(self, config, events, optane):
+        self._events = events
+        self._optane = optane
+        self._line = config.cpu_cache_line_bytes
+        self._capacity_lines = config.llc_ddio_bytes // self._line
+        self._dirty = OrderedDict()
 
-    def _evict_over_capacity(self):
+    def __len__(self):
+        return len(self._dirty)
+
+    def dirty_lines(self, region):
+        return sorted(line for token, line in self._dirty if token == region.token)
+
+    def install_writes(self, region, starts, lengths):
+        if region.kind is not MemKind.PM:
+            return
+        starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
+        lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
+        if int(lengths.sum()) > 2 * self._capacity_lines * self._line:
+            starts, lengths = LastLevelCache._persist_all_but_tail(
+                self, region, starts, lengths, self._capacity_lines * self._line)
+        hits = fills = 0
+        for start, length in zip(starts.tolist(), lengths.tolist()):
+            if length <= 0:
+                continue
+            for line in range(start // self._line, (start + length - 1) // self._line + 1):
+                key = (region.token, line)
+                if key in self._dirty:
+                    self._dirty.move_to_end(key)
+                    hits += 1
+                else:
+                    self._dirty[key] = (region, line)
+                    fills += 1
+        if hits or fills:
+            self._events.emit(LlcInstall(region=region.name, hits=hits, fills=fills))
         evicted = 0
         while len(self._dirty) > self._capacity_lines:
-            _, (region, line) = self._dirty.popitem(last=False)
-            self._write_back(region, line)
+            _, (victim, line) = self._dirty.popitem(last=False)
+            self._write_back(victim, line)
             evicted += 1
         if evicted:
             self._events.emit(LlcEvict(lines=evicted))
+
+    def _write_back(self, region, line):
+        start = line * self._line
+        self._optane.write_epoch(region, [start], [min(self._line, region.size - start)])
+
+    def flush_range(self, region, offset, size):
+        if region.kind is not MemKind.PM or size <= 0:
+            return 0.0
+        lines = range(offset // self._line, (offset + size - 1) // self._line + 1)
+        hits = [line for line in lines if (region.token, line) in self._dirty]
+        if not hits:
+            return 0.0
+        self._events.emit(LlcFlush(region=region.name, lines=len(hits)))
+        for line in hits:
+            del self._dirty[(region.token, line)]
+        starts = np.asarray(hits, dtype=np.int64) * self._line
+        return self._optane.flush_lines(region, starts, self._line)
+
+    def drop_range(self, region, offset, size):
+        if region.kind is not MemKind.PM or size <= 0:
+            return
+        for line in range(offset // self._line, (offset + size - 1) // self._line + 1):
+            self._dirty.pop((region.token, line), None)
+
+    def flush_region(self, region):
+        return self.flush_range(region, 0, region.size)
 
     def crash(self, eadr):
         if eadr:
@@ -202,11 +298,17 @@ class _Rig:
         self.machine = Machine(cfg, persistency=persistency)
         if reference:
             m = self.machine
-            m.llc = PerLineLlc(m.config, m.events, m.optane)
+            m.llc = ReferenceLlc(m.config, m.events, m.optane)
         self.events: list[str] = []
         self.machine.events.subscribe(lambda ts, ev: self.events.append(repr((ts, ev))))
-        self.regions = {name: self.machine.alloc_pm(name, size)
-                        for name, size in _REGION_SIZES.items()}
+        #: Region token -> "name#generation", so both rigs' tokens compare.
+        self.labels: dict[int, str] = {}
+        self.regions = {name: self._alloc(name) for name in _REGION_SIZES}
+
+    def _alloc(self, name: str):
+        region = self.machine.alloc_pm(name, _REGION_SIZES[name])
+        self.labels[region.token] = f"{name}#{len(self.labels)}"
+        return region
 
     def install(self, name: str, segments, data) -> None:
         region = self.regions[name]
@@ -222,14 +324,28 @@ class _Rig:
         tag = (ord(name) + first) % 251 + 1
         self.install(name, [(first * 64, size)], [np.full(size, tag, np.uint8)])
 
+    def apply(self, op) -> None:
+        """Run one step of a :func:`_random_ops` sequence."""
+        kind, name, *args = op
+        llc = self.machine.llc
+        if kind == "install":
+            self.install(name, *args)
+        elif kind == "flush":
+            llc.flush_range(self.regions[name], *args)
+        elif kind == "drop":
+            llc.drop_range(self.regions[name], *args)
+        else:  # "realloc": free, then allocate the same name again
+            self.machine.free(self.regions[name])
+            self.regions[name] = self._alloc(name)
+
     def state(self):
-        tokens = {r.token: name for name, r in self.regions.items()}
-        optane = self.machine.optane
+        llc, optane = self.machine.llc, self.machine.optane
         return (
             self.events,
-            [(region.name, line) for region, line in self.machine.llc._dirty.values()],
+            len(llc),
+            {name: llc.dirty_lines(r) for name, r in self.regions.items()},
             optane._last_line,
-            tokens.get(optane._last_region),
+            self.labels.get(optane._last_region),
             {name: r.persisted.tobytes() for name, r in self.regions.items()},
         )
 
@@ -238,34 +354,110 @@ def _pair(persistency: str = "strict") -> tuple[_Rig, _Rig]:
     return _Rig(persistency, reference=False), _Rig(persistency, reference=True)
 
 
+def _random_ops(seed: int, steps: int = 60) -> list[tuple]:
+    """A random mix of installs, range flushes and drops, and reallocations.
+
+    Installs carry one to three segments, some zero-length and some
+    overlapping the previous segment; flushes and drops cover arbitrary
+    (possibly empty) sub-ranges.
+    """
+    rng = np.random.default_rng(seed)
+    names = list(_REGION_SIZES)
+    ops = []
+    for _ in range(steps):
+        name = names[int(rng.integers(len(names)))]
+        size = _REGION_SIZES[name]
+        roll = rng.random()
+        if roll < 0.65:
+            segments, data = [], []
+            for _ in range(int(rng.integers(1, 4))):
+                if segments and rng.random() < 0.25:
+                    prev, prev_len = segments[-1]
+                    start = prev + int(rng.integers(0, max(prev_len, 1)))
+                else:
+                    start = int(rng.integers(0, size))
+                # Mostly a few lines; sometimes more than the whole window,
+                # which takes the streaming write-through.
+                cap = min(320 if rng.random() < 0.85 else 1400, size - start)
+                length = 0 if rng.random() < 0.1 else int(rng.integers(1, cap + 1))
+                segments.append((start, length))
+                data.append(rng.integers(0, 256, length, dtype=np.uint8))
+            ops.append(("install", name, segments, data))
+        elif roll < 0.95:
+            # Whole-region and region-edge ranges are as likely as inner ones.
+            offset = 0 if rng.random() < 0.3 else int(rng.integers(0, size))
+            length = (size - offset if rng.random() < 0.3
+                      else int(rng.integers(0, size - offset + 1)))
+            ops.append(("flush" if roll < 0.8 else "drop", name, offset, length))
+        else:
+            ops.append(("realloc", name))
+    return ops
+
+
+def _frontiers(ops, persistency: str) -> int:
+    """How many frontier events a crash-free run of ``ops`` emits."""
+    rig = _Rig(persistency, reference=False)
+    count = [0]
+
+    def tally(_ts, event):
+        count[0] += type(event).frontier_kind is not None
+
+    rig.machine.events.subscribe(tally)
+    for op in ops:
+        rig.apply(op)
+    return count[0]
+
+
+@pytest.fixture
+def small_log(monkeypatch):
+    """Shrink the dirty-set log so short sequences compact it many times.
+
+    Also lower the element-by-element install limit, so installs of a few
+    lines take the slice and gather paths too.
+    """
+    monkeypatch.setattr(cache, "_MIN_LOG", 8)
+    monkeypatch.setattr(cache, "_LOOP_LINES", 2)
+
+
 class TestBatchedEvictionMatchesPerLine:
-    """Differential check of the batched eviction drain against PerLineLlc."""
+    """Differential check of :class:`LastLevelCache` against ReferenceLlc."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("persistency", ["strict", "eadr"])
-    def test_random_install_sequences(self, seed, persistency):
-        rng = np.random.default_rng(seed)
+    def test_random_install_sequences(self, seed, persistency, small_log):
         rigs = _pair(persistency)
-        names = list(_REGION_SIZES)
-        for _ in range(60):
-            name = names[int(rng.integers(len(names)))]
-            size = _REGION_SIZES[name]
-            segments, data = [], []
-            for _ in range(int(rng.integers(1, 4))):
-                start = int(rng.integers(0, size))
-                length = int(rng.integers(1, min(320, size - start) + 1))
-                segments.append((start, length))
-                data.append(rng.integers(0, 256, length, dtype=np.uint8))
-            flush = rng.random() < 0.1
+        for op in _random_ops(seed):
             for rig in rigs:
-                rig.install(name, segments, data)
-                if flush:
-                    rig.machine.llc.flush_range(rig.regions[name], 0, size // 2)
+                rig.apply(op)
             assert rigs[0].state() == rigs[1].state()
+        # The eADR drain writes the survivors back in LRU order, so its
+        # event order checks the order of the whole dirty set.
         for rig in rigs:
             rig.machine.crash()
         assert rigs[0].state() == rigs[1].state()
         assert rigs[0].machine.stats.llc_evictions > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("persistency", ["strict", "eadr"])
+    def test_random_sequences_crashed_at_every_kth_frontier(self, seed, persistency,
+                                                            small_log):
+        ops = _random_ops(100 + seed)
+        total = _frontiers(ops, persistency)
+        step = max(1, total // 12)
+        for ordinal in range(seed % step, total, step):
+            rigs = _pair(persistency)
+            crashed_at = []
+            for rig in rigs:
+                CrashInjector(rig.machine).arm_at_frontier(ordinal)
+                crashed_at.append(None)
+                for i, op in enumerate(ops):
+                    try:
+                        rig.apply(op)
+                    except SimulatedCrash:
+                        crashed_at[-1] = i
+            assert crashed_at[0] is not None
+            assert crashed_at[0] == crashed_at[1]
+            assert rigs[0].state() == rigs[1].state()
 
     def test_burst_crossing_region_runs(self):
         rigs = _pair()
