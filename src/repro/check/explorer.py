@@ -172,20 +172,16 @@ class CrashExplorer:
         return recorder.frontiers()
 
     def explore(self) -> ExploreReport:
+        from ..experiments.runner import fan_out
+
         frontiers = self.record()
         chosen = prune_frontiers(frontiers, self.max_frontiers)
         args = [(self.target, self.mode.value, f, self.provenance)
                 for f in chosen]
-        if self.jobs > 1 and len(chosen) > 1:
-            import multiprocessing as mp
-
-            with mp.get_context("fork").Pool(self.jobs) as pool:
-                results = pool.starmap(explore_frontier, args)
-        else:
-            results = [explore_frontier(*a) for a in args]
+        results = fan_out(explore_frontier, args, self.jobs)
         return ExploreReport(
             target=self.target, mode=self.mode,
-            frontiers_recorded=len(frontiers), results=list(results),
+            frontiers_recorded=len(frontiers), results=results,
             provenance=dict(self.provenance),
         )
 

@@ -31,7 +31,7 @@ engine's drain bookkeeping):
 
 A :class:`LitmusExplorer` fans each generated test out across the full
 config matrix - every registered persistency model x DDIO window on/off x
-eADR - through the experiment engine's shared fork pool and disk cache
+eADR - through the experiment engine's fork fan-out and disk cache
 (:func:`repro.experiments.runner.run_litmus_batch`), then re-runs a slice
 of the tests with each sentinel mutant armed
 (:data:`~repro.sim.persistency.SENTINEL_MUTANTS`) and fails unless every
@@ -860,8 +860,8 @@ class LitmusExplorer:
     1. the **seed corpus** - the hand-written oracle targets' frontier
        counts against their pins, plus broken-demo's planted bug;
     2. the **matrix** - ``count`` generated tests, each executed at every
-       :func:`config_matrix` point through the experiment engine's shared
-       fork pool and disk cache (repeated points are free);
+       :func:`config_matrix` point through the experiment engine's fork
+       fan-out and disk cache (repeated points are free);
     3. the **sentinel self-check** - the first ``mutant_tests`` tests
        re-run across the matrix with each sentinel mutant armed; every
        mutant must be detected by at least one point.

@@ -5,8 +5,8 @@ objects that render to the tab-separated ``out_*.txt`` files the paper's
 artifact emits.  :func:`run_all` regenerates everything into ``reports/``,
 prefetching the union of every artefact's engine-served runs (see
 :mod:`~repro.experiments.runner`) so the expensive simulation work is
-deduplicated, disk-cached, and - with ``jobs > 1`` - fanned out over a
-fork pool before the tables are assembled.
+deduplicated, disk-cached, and - with ``jobs > 1`` - fanned out over
+fork workers before the tables are assembled.
 """
 
 from .ablations import (
@@ -26,22 +26,17 @@ from .figure12 import figure12, pattern_microbenchmark
 from .results import ExperimentTable
 from .runner import (
     RunRequest,
-    adopt_config,
     clear_cache,
     effective_jobs,
+    fan_out,
     get_default_jobs,
     get_disk_cache,
-    install_memo,
     modes_matrix,
     prefetch,
     run_workload,
     run_workload_profiled,
-    run_workloads_parallel,
     set_default_jobs,
     set_disk_cache,
-    shared_pool,
-    shutdown_pool,
-    snapshot_memo,
     workload_names,
     _current_config,
 )
@@ -127,20 +122,12 @@ def requests_for(names) -> list[RunRequest]:
     return out
 
 
-def _build_record(name: str, config=None, memo=None) -> dict:
+def _build_record(name: str) -> dict:
     """Build one artefact; return its serialized table.
 
-    Module-level and picklable: the unit of work ``run_all`` dispatches to
-    fork-pool workers.  The shared pool's workers may have been forked
-    before the prefetch executed, so the active config and the warm run
-    memo arrive with the task rather than via fork inheritance.  Workers
-    run single-job themselves - daemonic pool workers cannot fork
-    grandchildren.
+    Module-level and picklable: the unit of work ``run_all`` fans out.
+    Workers fork after the prefetch, so they inherit the warm run memo.
     """
-    set_default_jobs(1)
-    adopt_config(config)
-    if memo:
-        install_memo(memo)
     return table_to_record(ALL_EXPERIMENTS[name]())
 
 
@@ -162,18 +149,18 @@ def run_all(directory: str = "reports", verbose: bool = True,
             jobs: int | None = None, names=None) -> dict[str, ExperimentTable]:
     """Regenerate every figure/table; saves out_*.txt files; returns tables.
 
-    ``jobs > 1`` fans the work over fork-pool workers in two waves: first
-    the union of the artefacts' engine-served runs (the expensive
-    simulations, deduplicated), then the table assembly for artefacts the
-    persistent table cache cannot already answer.  Output is bit-identical
-    to a sequential run - the simulation is deterministic and results
-    cross the pool as exact serialized payloads.
+    ``jobs > 1`` fans the work over fork workers in two waves: first the
+    union of the artefacts' engine-served runs (the expensive simulations,
+    deduplicated), then the table assembly for artefacts the persistent
+    table cache cannot already answer.  Output is bit-identical to a
+    sequential run - the simulation is deterministic and results cross
+    process boundaries as exact serialized payloads.
     """
     names = list(names) if names is not None else list(ALL_EXPERIMENTS)
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown artefacts: {', '.join(unknown)}")
-    jobs = effective_jobs(get_default_jobs() if jobs is None else int(jobs))
+    jobs = get_default_jobs() if jobs is None else jobs
     cache = get_disk_cache()
     config = _current_config()
 
@@ -186,21 +173,12 @@ def run_all(directory: str = "reports", verbose: bool = True,
     pending = [n for n in names if n not in tables]
 
     if pending:
-        # Warm the run memo, then ship it with each table-builder task so
-        # no run executes twice.  Both waves draw on the one shared pool -
-        # fork startup is paid once per process, not twice per batch.
-        requests = requests_for(pending)
-        prefetch(requests, jobs=jobs)
-        if jobs > 1 and len(pending) > 1:
-            memo = snapshot_memo(requests)
-            records = shared_pool(jobs).starmap(
-                _build_record, [(name, config, memo) for name in pending],
-                chunksize=1)
-            for name, record in zip(pending, records):
-                tables[name] = table_from_record(record)
-        else:
-            for name in pending:
-                tables[name] = ALL_EXPERIMENTS[name]()
+        # Warm the run memo first: the table wave forks after it, so no
+        # run executes twice.
+        prefetch(requests_for(pending), jobs=jobs)
+        records = fan_out(_build_record, [(name,) for name in pending], jobs)
+        for name, record in zip(pending, records):
+            tables[name] = table_from_record(record)
         if cache is not None:
             for name in pending:
                 cache.store_table(name, config, tables[name])
@@ -225,12 +203,8 @@ __all__ = [
     "ExperimentTable",
     "ResultCache",
     "RunRequest",
-    "adopt_config",
     "effective_jobs",
-    "install_memo",
-    "shared_pool",
-    "shutdown_pool",
-    "snapshot_memo",
+    "fan_out",
     "checkpoint_frequency",
     "clear_cache",
     "cpu_only_db",
@@ -255,7 +229,6 @@ __all__ = [
     "run_artefact",
     "run_workload",
     "run_workload_profiled",
-    "run_workloads_parallel",
     "sensitivity_sweep",
     "set_default_jobs",
     "set_disk_cache",

@@ -9,8 +9,8 @@ order:
 2. the **persistent disk cache** (:class:`~repro.experiments.diskcache.
    ResultCache`, enabled by the CLI / :func:`set_disk_cache`) - results
    survive process exit and are shared across concurrent processes,
-3. a **fresh deterministic run** - inline, or fanned out over a fork pool
-   when :func:`prefetch`/:func:`run_workloads_parallel` is given
+3. a **fresh deterministic run** - inline, or fanned out by
+   :func:`fan_out` over fork workers when :func:`prefetch` is given
    ``jobs > 1``.
 
 Figure/table modules declare the batch of runs they consume via
@@ -18,10 +18,12 @@ Figure/table modules declare the batch of runs they consume via
 deduplicated set of runs is executed (in parallel when requested) instead
 of ad-hoc ``run_workload`` calls serialising on one core.
 
-Results cross process and cache boundaries as exact JSON payloads (see
-:mod:`~repro.experiments.diskcache`): a parallel run is bit-identical to a
-sequential one because the simulation is deterministic and the
-serialization is lossless.
+Every fan-out forks a fresh pool *after* the caller set its state, so
+workers inherit the active configuration and the warm memo; nothing is
+shipped but the task arguments.  Results cross process and cache
+boundaries as exact JSON payloads (see :mod:`~repro.experiments.diskcache`):
+a parallel run is bit-identical to a sequential one because the simulation
+is deterministic and the serialization is lossless.
 
 The cache key includes the active :class:`~repro.sim.config.SystemConfig`
 (a frozen, hashable dataclass), so tests or ablations that swap
@@ -34,10 +36,9 @@ exception (re-raising one shared instance would mutate its
 
 from __future__ import annotations
 
-import atexit
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from ..host.gpufs import GpufsUnsupported
 from ..sim import config as _config
@@ -86,16 +87,12 @@ _profile_cache: dict[tuple[str, Mode, SystemConfig], tuple[RunResult, ProfileSum
 #: Persistent cache shared across processes; ``None`` keeps the engine
 #: memory-only (the library default - the CLI opts in).
 _disk_cache: ResultCache | None = None
-#: Pool width used when ``prefetch`` is not given an explicit ``jobs``.
+#: Fan-out width used when ``prefetch`` is not given an explicit ``jobs``.
 _default_jobs: int = 1
 
 #: Workloads runnable by name beyond the Fig. 9 lineup (e.g. the
 #: Section 4.3 binomial counter-example), registered by their consumers.
 _extra_workloads: dict[str, Callable[[], object]] = {}
-
-#: The engine's persistent fork pool (see :func:`shared_pool`).
-_pool = None
-_pool_width = 0
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +111,7 @@ def get_disk_cache() -> ResultCache | None:
 
 
 def set_default_jobs(jobs: int) -> None:
-    """Pool width for prefetches that do not pass ``jobs`` explicitly."""
+    """Fan-out width for prefetches that do not pass ``jobs`` explicitly."""
     global _default_jobs
     _default_jobs = max(1, int(jobs))
 
@@ -127,7 +124,7 @@ def available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware).
 
     Container CPU quotas and taskset masks make ``os.cpu_count()`` a lie;
-    the scheduler affinity set is what the fork pool can really use.
+    the scheduler affinity set is what fork workers can really use.
     """
     try:
         return len(os.sched_getaffinity(0))
@@ -136,51 +133,36 @@ def available_cpus() -> int:
 
 
 def effective_jobs(jobs: int) -> int:
-    """Clamp a requested pool width to the CPUs actually available.
+    """Clamp a requested fan-out width to the CPUs actually available.
 
     The simulation is pure Python compute, so forking more workers than
     cores strictly loses: on a 1-core host a 2-worker cold ``run_all`` of
     a small artefact subset ran at 0.90x sequential - all contention and
-    fork overhead, no parallelism.  A clamped width of 1 skips the pool
-    entirely.
+    fork overhead, no parallelism.  A clamped width of 1 runs inline.
     """
     return max(1, min(int(jobs), available_cpus()))
 
 
-def shared_pool(jobs: int):
-    """The engine's persistent fork pool, reused across waves and calls.
+def fan_out(fn: Callable, args: Sequence[tuple], jobs: int) -> list:
+    """``[fn(*a) for a in args]``, over fork workers when that can pay.
 
-    Fork-pool startup used to be paid twice per ``run_all`` (once for the
-    prefetch wave, once for the table builders) and again on every later
-    batch; on a small artefact subset that overhead alone pushed a
-    parallel run *slower* than a sequential one.  Workers never rely on
-    fork-time state: runs always execute fresh (:func:`_execute`) and table
-    builders receive the run memo and the active config explicitly, so one
-    long-lived pool is safe to share.
+    Each call forks a fresh pool of ``min(jobs, len(args))`` workers, so
+    they inherit the caller's state as it is *now*: the active
+    ``SystemConfig``, the warm run memo and the disk cache.  ``chunksize=1``
+    because task times vary by 100x (a static chunk would serialise behind
+    the slow ones).  It runs inline when the clamped width is 1, for fewer
+    than two tasks, and inside a pool worker - daemonic workers cannot
+    fork children, so a nested fan-out (a table builder's prefetch) stays
+    in its worker.
     """
-    global _pool, _pool_width
-    jobs = max(2, int(jobs))
-    if _pool is not None and _pool_width != jobs:
-        shutdown_pool()
-    if _pool is None:
+    jobs = min(effective_jobs(jobs), len(args))
+    if jobs > 1:
         import multiprocessing as mp
 
-        _pool = mp.get_context("fork").Pool(jobs)
-        _pool_width = jobs
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Tear down the shared fork pool (no-op when none is live)."""
-    global _pool, _pool_width
-    if _pool is not None:
-        _pool.terminate()
-        _pool.join()
-        _pool = None
-        _pool_width = 0
-
-
-atexit.register(shutdown_pool)
+        if not mp.current_process().daemon:
+            with mp.get_context("fork").Pool(jobs) as pool:
+                return pool.starmap(fn, args, chunksize=1)
+    return [fn(*a) for a in args]
 
 
 def register_workload(name: str, factory: Callable[[], object]) -> None:
@@ -213,27 +195,14 @@ def _fresh(name: str):
 # --------------------------------------------------------------------------
 
 
-def adopt_config(config: SystemConfig | None) -> None:
-    """Make ``config`` the active machine configuration (``None``: keep).
-
-    Pool tasks ship the caller's config explicitly because the shared fork
-    pool outlives the fork point: a worker's inherited ``DEFAULT_CONFIG``
-    can predate an ablation's swap.
-    """
-    if config is not None and config != _config.DEFAULT_CONFIG:
-        _config.DEFAULT_CONFIG = config
-
-
-def _execute(workload: str, mode_value: str, profiled: bool,
-             config: SystemConfig | None = None) -> dict:
+def _execute(workload: str, mode_value: str, profiled: bool) -> dict:
     """Run one workload fresh; return its serialized payload.
 
-    Module-level and picklable: this is the unit of work the fork pool
-    dispatches (the same pattern as ``repro.check.explorer``).  Returning
-    payloads rather than live objects keeps the parallel and sequential
-    paths on one serialization, so their results cannot diverge.
+    Module-level and picklable: this is the unit of work :func:`fan_out`
+    dispatches.  Returning payloads rather than live objects keeps the
+    parallel and sequential paths on one serialization, so their results
+    cannot diverge.
     """
-    adopt_config(config)
     mode = Mode(mode_value)
     try:
         if profiled:
@@ -248,15 +217,13 @@ def _execute(workload: str, mode_value: str, profiled: bool,
 
 
 def _execute_litmus(test_payload: dict, point_spec: str, mutant: str | None,
-                    max_frontiers: int,
-                    config: SystemConfig | None = None) -> dict:
-    """Run one litmus (test, config-point, mutant) fresh; pool-dispatchable.
+                    max_frontiers: int) -> dict:
+    """Run one litmus (test, config-point, mutant) fresh; fan-out-dispatchable.
 
     Imported lazily both ways (``repro.check.litmus`` calls
     :func:`run_litmus_batch`, which dispatches back here) to keep the
     check/experiments layers import-cycle-free.
     """
-    adopt_config(config)
     from ..check.litmus import execute_point
 
     return execute_point(test_payload, point_spec, mutant=mutant,
@@ -269,8 +236,8 @@ def run_litmus_batch(tasks: list[tuple], jobs: int | None = None) -> list[dict]:
     Each task is ``(test_payload, point_spec, mutant, max_frontiers)`` -
     plain JSON-able values, exactly what one :func:`_execute_litmus` call
     takes and what keys the disk cache (so repeated matrix points across
-    fuzzing sessions are free).  Misses fan out over the engine's shared
-    fork pool with ``chunksize=1``, like workload prefetches.
+    fuzzing sessions are free).  Misses go through :func:`fan_out`, like
+    workload prefetches.
     """
     config = _current_config()
     results: list[dict | None] = [None] * len(tasks)
@@ -281,13 +248,8 @@ def run_litmus_batch(tasks: list[tuple], jobs: int | None = None) -> list[dict]:
             results[i] = payload
         else:
             pending.append(i)
-    jobs = effective_jobs(_default_jobs if jobs is None else int(jobs))
-    if jobs > 1 and len(pending) > 1:
-        args = [tasks[i] + (config,) for i in pending]
-        payloads = shared_pool(jobs).starmap(_execute_litmus, args,
-                                             chunksize=1)
-    else:
-        payloads = [_execute_litmus(*tasks[i], config) for i in pending]
+    payloads = fan_out(_execute_litmus, [tasks[i] for i in pending],
+                       _default_jobs if jobs is None else jobs)
     for i, payload in zip(pending, payloads):
         results[i] = payload
         if _disk_cache is not None:
@@ -315,56 +277,6 @@ def _install_payload(req: RunRequest, config: SystemConfig, payload: dict) -> No
         _cache[key] = result
 
 
-def _obtain(req: RunRequest) -> None:
-    """Ensure the memo satisfies ``req`` (disk cache, else a fresh run)."""
-    config = _current_config()
-    if _memo_satisfies(req, config):
-        return
-    if _disk_cache is not None:
-        payload = _disk_cache.load_run(req.workload, req.mode, req.profiled, config)
-        if payload is not None:
-            _install_payload(req, config, payload)
-            return
-    payload = _execute(req.workload, req.mode.value, req.profiled)
-    _install_payload(req, config, payload)
-    if _disk_cache is not None:
-        _disk_cache.store_run(req.workload, req.mode, req.profiled, config, payload)
-
-
-def snapshot_memo(requests: Iterable) -> list[tuple]:
-    """Serialize the memo entries answering ``requests`` for pool shipment.
-
-    The table-builder wave used to depend on forking *after* the prefetch
-    so workers inherited the warm memo; with the shared pool the fork may
-    predate the runs, so the memo travels with the task instead.
-    """
-    config = _current_config()
-    out: list[tuple] = []
-    for req in _normalize(requests):
-        key = (req.workload, req.mode, config)
-        if req.profiled and key in _profile_cache:
-            result, prof = _profile_cache[key]
-            payload = {"result": result_to_record(result),
-                       "profile": profile_to_record(prof)}
-        elif key in _cache:
-            val = _cache[key]
-            payload = ({"unsupported": val.reason}
-                       if isinstance(val, _Unsupported)
-                       else {"result": result_to_record(val)})
-        else:
-            continue
-        out.append((req.workload, req.mode.value, req.profiled, payload))
-    return out
-
-
-def install_memo(entries: list[tuple]) -> None:
-    """Install :func:`snapshot_memo` entries into this process's memo."""
-    config = _current_config()
-    for workload, mode_value, profiled, payload in entries:
-        _install_payload(RunRequest(workload, Mode(mode_value), profiled),
-                         config, payload)
-
-
 def _normalize(requests: Iterable) -> list[RunRequest]:
     out = []
     for req in requests:
@@ -382,12 +294,12 @@ def _normalize(requests: Iterable) -> list[RunRequest]:
 
 
 def prefetch(requests: Iterable, jobs: int | None = None) -> None:
-    """Satisfy a batch of run requests, fanning misses over a fork pool.
+    """Satisfy a batch of run requests, fanning misses over fork workers.
 
     Deduplicates the requests (a profiled run subsumes its plain twin),
     satisfies what it can from the memo and the disk cache, and executes
-    the rest - with ``multiprocessing`` ``fork`` workers when ``jobs > 1``
-    (default: the engine-wide setting of :func:`set_default_jobs`).  After
+    the rest through :func:`fan_out` at width ``jobs`` (default: the
+    engine-wide setting of :func:`set_default_jobs`).  After
     the call every request is answerable from the memo, so subsequent
     ``run_workload`` calls are hits.
     """
@@ -413,44 +325,14 @@ def prefetch(requests: Iterable, jobs: int | None = None) -> None:
             else:
                 still.append(req)
         pending = still
-    jobs = effective_jobs(_default_jobs if jobs is None else int(jobs))
-    if jobs > 1 and len(pending) > 1:
-        args = [(r.workload, r.mode.value, r.profiled, config)
-                for r in pending]
-        # chunksize=1: run times vary by 100x across (workload, mode),
-        # so static chunking would serialise behind the slow ones.
-        payloads = shared_pool(jobs).starmap(_execute, args, chunksize=1)
-        for req, payload in zip(pending, payloads):
-            _install_payload(req, config, payload)
-            if _disk_cache is not None:
-                _disk_cache.store_run(req.workload, req.mode, req.profiled,
-                                      config, payload)
-    else:
-        for req in pending:
-            _obtain(req)
-
-
-def run_workloads_parallel(requests: Iterable, jobs: int | None = None
-                           ) -> list[RunResult | None]:
-    """Execute the deduplicated request set in parallel; gather in order.
-
-    Returns one entry per input request (``None`` where the mode cannot
-    run the workload, e.g. GPUfs).  Results are bit-identical to
-    sequential execution: the simulation is deterministic and results
-    cross the pool as exact JSON payloads.
-    """
-    requests = _normalize(requests)
-    prefetch(requests, jobs=jobs)
-    out: list[RunResult | None] = []
-    for req in requests:
-        try:
-            if req.profiled:
-                out.append(run_workload_profiled(req.workload, req.mode)[0])
-            else:
-                out.append(run_workload(req.workload, req.mode))
-        except GpufsUnsupported:
-            out.append(None)
-    return out
+    payloads = fan_out(_execute,
+                       [(r.workload, r.mode.value, r.profiled) for r in pending],
+                       _default_jobs if jobs is None else jobs)
+    for req, payload in zip(pending, payloads):
+        _install_payload(req, config, payload)
+        if _disk_cache is not None:
+            _disk_cache.store_run(req.workload, req.mode, req.profiled,
+                                  config, payload)
 
 
 def run_workload(name: str, mode: Mode) -> RunResult:
@@ -460,7 +342,7 @@ def run_workload(name: str, mode: Mode) -> RunResult:
     exactly as the real GPUfs port would fail - a *fresh* exception object
     per call, never a cached one.
     """
-    _obtain(RunRequest(name, mode))
+    prefetch([RunRequest(name, mode)])
     out = _cache[(name, mode, _current_config())]
     if isinstance(out, _Unsupported):
         raise GpufsUnsupported(out.reason)
@@ -474,7 +356,7 @@ def run_workload_profiled(name: str, mode: Mode) -> tuple[RunResult, ProfileSumm
     the event stream (windowed to the workload's measured section).  The
     run also populates the plain :func:`run_workload` cache.
     """
-    _obtain(RunRequest(name, mode, profiled=True))
+    prefetch([RunRequest(name, mode, profiled=True)])
     key = (name, mode, _current_config())
     if key not in _profile_cache and isinstance(_cache.get(key), _Unsupported):
         raise GpufsUnsupported(_cache[key].reason)

@@ -27,6 +27,23 @@ class TestCleanTarget:
         assert report.violations == [] and report.errors == []
         assert "PASS" in report.describe()
 
+    def test_parallel_results_match_sequential(self):
+        parallel = explore("ring", Mode.GPM, max_frontiers=0, jobs=2)
+        assert parallel.results == explore("ring", Mode.GPM,
+                                           max_frontiers=0, jobs=1).results
+
+    def test_jobs_clamped_to_available_cpus(self, monkeypatch):
+        import multiprocessing
+
+        from repro.experiments import runner
+
+        def no_fork(*_args, **_kwargs):
+            raise AssertionError("forked more workers than CPUs")
+
+        monkeypatch.setattr(runner, "available_cpus", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert explore("ring", Mode.GPM, max_frontiers=0, jobs=4).ok
+
     def test_pruning_respects_budget(self):
         report = explore("ring", Mode.GPM, max_frontiers=6)
         assert report.frontiers_explored <= 6

@@ -32,7 +32,7 @@ def _clear_runner_cache():
     The cache is keyed by (workload, mode, config), so results are shared
     *within* a module for speed but never leak stale state across modules
     (e.g. after a module monkeypatches ``repro.sim.config.DEFAULT_CONFIG``).
-    The engine's process-wide configuration (disk cache, pool width) is
+    The engine's process-wide configuration (disk cache, fan-out width) is
     reset too, in case a test module installed either.
     """
     from repro.experiments import runner

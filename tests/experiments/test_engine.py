@@ -1,5 +1,8 @@
 """The parallel experiment engine: parity, dedup, ordering, prefetch."""
 
+import dataclasses
+import time
+
 import pytest
 
 from repro.experiments import runner
@@ -9,7 +12,6 @@ from repro.experiments.runner import (
     prefetch,
     run_workload,
     run_workload_profiled,
-    run_workloads_parallel,
 )
 from repro.host.gpufs import GpufsUnsupported
 from repro.workloads import Mode
@@ -73,25 +75,6 @@ class TestPrefetch:
         assert ("CFD", Mode.GPM, runner._current_config()) in runner._cache
 
 
-class TestRunWorkloadsParallel:
-    def test_order_preserved_with_none_for_unsupported(self):
-        runner.clear_cache()
-        out = run_workloads_parallel(FAST_REQUESTS, jobs=2)
-        assert len(out) == len(FAST_REQUESTS)
-        for req, res in zip(FAST_REQUESTS, out):
-            if req == RunRequest("gpKVS", Mode.GPUFS):
-                assert res is None
-            else:
-                assert res.workload == req.workload
-                assert res.mode == req.mode
-
-    def test_duplicate_requests_get_identical_objects(self):
-        runner.clear_cache()
-        reqs = [RunRequest("HS", Mode.GPM)] * 2
-        a, b = run_workloads_parallel(reqs)
-        assert a is b
-
-
 class TestRunAllParity:
     #: Cheap artefact subset: three bespoke + one engine-routed.
     NAMES = ["ablation_ddio", "ablation_coalescing", "figure3",
@@ -138,28 +121,90 @@ class TestRunAllParity:
             runner.set_disk_cache(None)
 
 
+def _sleep_then_echo(value, delay):
+    time.sleep(delay)
+    return value
+
+
+def _no_fork(*_args, **_kwargs):
+    raise AssertionError("fan_out forked a pool")
+
+
+class TestFanOut:
+    def test_results_in_args_order(self, monkeypatch):
+        # The first task is the slowest, so completion order differs.
+        monkeypatch.setattr(runner, "available_cpus", lambda: 2)
+        args = [(i, 0.05 if i == 0 else 0.0) for i in range(5)]
+        assert runner.fan_out(_sleep_then_echo, args, 2) == list(range(5))
+
+    @pytest.mark.parametrize("jobs,args", [
+        (1, [(1,), (2,), (3,)]),
+        (4, [(7,)]),
+    ])
+    def test_inline_below_two_workers_or_tasks(self, monkeypatch, jobs, args):
+        import multiprocessing
+
+        monkeypatch.setattr(runner, "available_cpus", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+        assert runner.fan_out(abs, args, jobs) == [a for (a,) in args]
+
+    def test_inline_path_does_not_import_multiprocessing(self):
+        import subprocess
+        import sys
+
+        code = ("import sys; from repro.experiments.runner import fan_out; "
+                "assert fan_out(abs, [(-1,), (-2,)], 1) == [1, 2]; "
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
+
+    def test_nested_fan_out_stays_inside_its_worker(self, tmp_path,
+                                                    monkeypatch):
+        import repro.experiments as experiments
+        from repro.experiments.results import ExperimentTable
+
+        def builder(name):
+            def build():
+                prefetch([RunRequest("HS", Mode.GPM),
+                          RunRequest("CFD", Mode.GPM)], jobs=2)
+                table = ExperimentTable(name, name, ["elapsed"])
+                table.add(run_workload("HS", Mode.GPM).elapsed)
+                return table
+            return build
+
+        monkeypatch.setattr(runner, "available_cpus", lambda: 2)
+        for name in ("nested_a", "nested_b"):
+            monkeypatch.setitem(experiments.ALL_EXPERIMENTS, name,
+                                builder(name))
+        runner.clear_cache()
+        tables = experiments.run_all(directory=str(tmp_path), verbose=False,
+                                     jobs=2, names=["nested_a", "nested_b"])
+        elapsed = run_workload("HS", Mode.GPM).elapsed
+        assert [t.rows for t in tables.values()] == [[[elapsed]]] * 2
+
+    def test_workers_inherit_the_active_config(self, monkeypatch):
+        from repro.sim import config as sim_config
+
+        reqs = [RunRequest("HS", Mode.GPM), RunRequest("CFD", Mode.GPM)]
+        default = {r: runner._execute(r.workload, r.mode.value, False)
+                   for r in reqs}
+        slow = dataclasses.replace(sim_config.DEFAULT_CONFIG,
+                                   pcie_bw=sim_config.DEFAULT_CONFIG.pcie_bw / 4)
+        monkeypatch.setattr(sim_config, "DEFAULT_CONFIG", slow)
+        expected = {r: runner._execute(r.workload, r.mode.value, False)
+                    for r in reqs}
+        assert expected != default
+        monkeypatch.setattr(runner, "available_cpus", lambda: 2)
+        runner.clear_cache()
+        prefetch(reqs, jobs=2)
+        for req in reqs:
+            key = (req.workload, req.mode, slow)
+            assert result_to_record(runner._cache[key]) == \
+                expected[req]["result"]
+
+
 class TestSharedEngineFacilities:
-    def test_shared_pool_is_reused_and_executes(self):
-        pool = runner.shared_pool(2)
-        assert runner.shared_pool(2) is pool
-        payloads = pool.starmap(
-            runner._execute,
-            [("HS", "gpm", False, runner._current_config())], chunksize=1)
-        assert "result" in payloads[0]
-
-    def test_snapshot_and_install_memo_round_trip(self):
-        runner.clear_cache()
-        reqs = [RunRequest("HS", Mode.GPM), RunRequest("gpKVS", Mode.GPUFS)]
-        prefetch(reqs, jobs=1)
-        memo = runner.snapshot_memo(reqs)
-        assert len(memo) == 2
-        before = result_to_record(run_workload("HS", Mode.GPM))
-        runner.clear_cache()
-        runner.install_memo(memo)
-        assert result_to_record(run_workload("HS", Mode.GPM)) == before
-        with pytest.raises(GpufsUnsupported):
-            run_workload("gpKVS", Mode.GPUFS)
-
     def test_fresh_runs_execute_memo_hits_do_not(self, monkeypatch):
         executed = []
         execute = runner._execute
@@ -173,6 +218,7 @@ class TestSharedEngineFacilities:
         prefetch([RunRequest("CFD", Mode.GPM)], jobs=1)
         assert executed == ["CFD"]
         prefetch([RunRequest("CFD", Mode.GPM)], jobs=1)  # memo hit
+        assert run_workload("CFD", Mode.GPM) is run_workload("CFD", Mode.GPM)
         assert executed == ["CFD"]
 
     def test_effective_jobs_clamps_to_available_cpus(self):
