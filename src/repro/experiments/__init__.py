@@ -34,7 +34,6 @@ from .runner import (
     modes_matrix,
     prefetch,
     run_workload,
-    run_workload_profiled,
     set_default_jobs,
     set_disk_cache,
     workload_names,
@@ -228,7 +227,6 @@ __all__ = [
     "run_all",
     "run_artefact",
     "run_workload",
-    "run_workload_profiled",
     "sensitivity_sweep",
     "set_default_jobs",
     "set_disk_cache",

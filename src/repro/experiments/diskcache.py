@@ -6,13 +6,13 @@ cached outcome is one JSON file under the cache directory (default
 ``~/.cache/repro``, overridable with ``REPRO_CACHE_DIR`` or the CLI's
 ``--cache-dir``), keyed by a stable digest of
 
-* the workload name and persistence mode,
-* whether the run carried a profile sink,
+* the entry kind and name (workload and persistence mode, artefact, or
+  litmus point),
 * the full :class:`~repro.sim.config.SystemConfig` the run executed under
   (every field, via ``dataclasses.asdict``), and
-* the package version (``repro.version.__version__``),
+* a digest of the package source (:func:`source_digest`),
 
-so a config ablation or an upgraded simulator can never read results
+so a config ablation or any edit to the simulator can never read results
 produced under a different machine or model.  Entries are written with an
 atomic rename (temp file in the same directory + ``os.replace``) so
 concurrent processes sharing one cache directory either see a complete
@@ -24,13 +24,14 @@ Serialization is exact: run payloads hold only JSON round-trip-safe values
 parallel workers ship results to the parent - and warm cache hits replay
 them - bit-identical to an in-process sequential run.
 
-Two payload shapes are stored:
+Three payload shapes are stored:
 
-* run payloads - a serialized :class:`~repro.workloads.RunResult`, plus
-  optionally its :class:`~repro.sim.trace.ProfileSummary`, or an
+* run payloads - a serialized :class:`~repro.workloads.RunResult`, or an
   ``unsupported`` marker carrying the :class:`GpufsUnsupported` reason
   (markers are stored instead of pickled exceptions, so every cache hit
   can raise a *fresh* exception object);
+* litmus payloads - one ``repro.check.litmus`` verdict per (test,
+  config point, mutant, frontier budget);
 * table payloads - a rendered :class:`ExperimentTable`, cached per
   artefact so a warm ``python -m repro all`` rebuilds nothing.
 """
@@ -38,6 +39,7 @@ Two payload shapes are stored:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -48,8 +50,6 @@ import numpy as np
 
 from ..sim.config import SystemConfig
 from ..sim.stats import MachineStats, WindowedStats
-from ..sim.trace import ProfileSummary
-from ..version import __version__
 from ..workloads import Mode, RunResult
 from .results import ExperimentTable
 
@@ -57,8 +57,34 @@ from .results import ExperimentTable
 DEFAULT_CACHE_DIR = os.path.join("~", ".cache", "repro")
 
 
+#: The ``repro`` package directory, whose source keys every entry.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR") or os.path.expanduser(DEFAULT_CACHE_DIR)
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest(root: str) -> str:
+    """sha256 over the sorted relative paths and bytes of every ``*.py``
+    under ``root``; computed once per process and root.
+
+    Keying entries on it means any edit to the simulator invalidates every
+    entry it could have changed - a fixed version string would keep
+    serving results of the code before the edit.
+    """
+    paths = []
+    for dirpath, _, filenames in os.walk(root):
+        paths.extend(os.path.join(dirpath, f) for f in filenames
+                     if f.endswith(".py"))
+    digest = hashlib.sha256()
+    for rel in sorted(os.path.relpath(p, root) for p in paths):
+        with open(os.path.join(root, rel), "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -117,15 +143,6 @@ def result_from_record(record: dict) -> RunResult:
     )
 
 
-def profile_to_record(profile: ProfileSummary) -> dict:
-    return {f.name: getattr(profile, f.name)
-            for f in dataclasses.fields(profile)}
-
-
-def profile_from_record(record: dict) -> ProfileSummary:
-    return ProfileSummary(**record)
-
-
 def table_to_record(table: ExperimentTable) -> dict:
     return {
         "name": table.name,
@@ -159,9 +176,9 @@ class ResultCache:
     """One directory of JSON entries, keyed by digest; corrupt-tolerant."""
 
     def __init__(self, directory: str | None = None,
-                 version: str = __version__) -> None:
+                 version: str | None = None) -> None:
         self.directory = os.path.expanduser(directory or default_cache_dir())
-        self.version = version
+        self.version = version if version is not None else source_digest(_PACKAGE_DIR)
 
     # -- keying ----------------------------------------------------------
 
@@ -172,13 +189,9 @@ class ResultCache:
         blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def run_path(self, workload: str, mode: Mode, profiled: bool,
-                 config: SystemConfig) -> str:
-        digest = self._digest("run", workload, config, mode=mode.value,
-                              profiled=profiled)
+    def run_path(self, workload: str, mode: Mode, config: SystemConfig) -> str:
+        digest = self._digest("run", workload, config, mode=mode.value)
         slug = _slug(f"{workload}-{mode.value}")
-        if profiled:
-            slug += "-profiled"
         return os.path.join(self.directory, f"run-{slug}-{digest[:16]}.json")
 
     def table_path(self, artefact: str, config: SystemConfig) -> str:
@@ -226,20 +239,20 @@ class ResultCache:
 
     # -- run outcomes ----------------------------------------------------
 
-    def load_run(self, workload: str, mode: Mode, profiled: bool,
+    def load_run(self, workload: str, mode: Mode,
                  config: SystemConfig) -> dict | None:
         """The stored run payload, or ``None`` on miss/corruption.
 
-        Payloads contain either ``result`` (+ optional ``profile``) or an
-        ``unsupported`` reason string.
+        Payloads contain either ``result`` or an ``unsupported`` reason
+        string.
         """
-        path = self.run_path(workload, mode, profiled, config)
+        path = self.run_path(workload, mode, config)
         payload = self._load(path)
         if payload is None:
             return None
         if "unsupported" in payload:
             return payload if isinstance(payload["unsupported"], str) else None
-        if "result" not in payload or (profiled and "profile" not in payload):
+        if "result" not in payload:
             try:
                 os.remove(path)
             except OSError:
@@ -247,23 +260,13 @@ class ResultCache:
             return None
         return payload
 
-    def store_run(self, workload: str, mode: Mode, profiled: bool,
-                  config: SystemConfig, payload: dict) -> str:
-        path = self._store(
-            self.run_path(workload, mode, profiled, config), payload,
-            workload=workload, mode=mode.value, profiled=profiled,
+    def store_run(self, workload: str, mode: Mode, config: SystemConfig,
+                  payload: dict) -> str:
+        return self._store(
+            self.run_path(workload, mode, config), payload,
+            workload=workload, mode=mode.value,
             config_digest=config_digest(config),
         )
-        if profiled and "result" in payload:
-            # A profiled run fully determines the plain one; seed that slot
-            # too so unprofiled consumers hit without rerunning.
-            plain = {"result": payload["result"]}
-            self._store(
-                self.run_path(workload, mode, False, config), plain,
-                workload=workload, mode=mode.value, profiled=False,
-                config_digest=config_digest(config),
-            )
-        return path
 
     # -- litmus points ---------------------------------------------------
 

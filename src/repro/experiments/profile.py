@@ -15,22 +15,22 @@ Per workload (under GPM):
 * PCIe transactions per kilobyte (coalescing quality),
 * kernels launched (kernel-boundary overhead exposure).
 
-The numbers are accumulated by a :class:`~repro.sim.trace.ProfileSink`
-subscribed to the hardware event bus, windowed to each workload's measured
-section - the same figures the windowed stats deltas used to provide, now
-derived from the event stream alone.
+The numbers are read from each run's windowed
+:class:`~repro.sim.stats.MachineStats` - the fold of the event bus by
+:class:`~repro.sim.events.StatsAggregator` over the workload's measured
+section, the same counters Table 4 and Fig. 12 read.
 """
 
 from __future__ import annotations
 
 from ..workloads import Mode
 from .results import ExperimentTable
-from .runner import modes_matrix, prefetch, run_workload_profiled, workload_names
+from .runner import modes_matrix, prefetch, run_workload, workload_names
 
 
 def required_runs():
-    """The deduplicated batch of profiled runs this table consumes."""
-    return modes_matrix(Mode.GPM, profiled=True)
+    """The deduplicated batch of runs this table consumes."""
+    return modes_matrix(Mode.GPM)
 
 
 def persistence_profile() -> ExperimentTable:
@@ -42,15 +42,17 @@ def persistence_profile() -> ExperimentTable:
          "tx_per_kb", "kernels"],
     )
     for name in workload_names():
-        _, profile = run_workload_profiled(name, Mode.GPM)
+        stats = run_workload(name, Mode.GPM).window.stats
+        pm_bytes = stats.pm_bytes_written
+        pm_kb = pm_bytes / 1024
         table.add(
             name,
-            profile.fences,
-            profile.fences_per_kb,
-            profile.pm_kb,
-            profile.media_amplification,
-            profile.tx_per_kb,
-            profile.kernels,
+            stats.system_fences,
+            stats.system_fences / pm_kb if pm_bytes else 0.0,
+            pm_kb,
+            stats.pm_bytes_written_internal / pm_bytes if pm_bytes else 0.0,
+            stats.pcie_transactions / pm_kb if pm_bytes else 0.0,
+            stats.kernels_launched,
         )
     table.notes.append(
         "high fences/KB + high media amplification = the transactional "

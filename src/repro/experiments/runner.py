@@ -1,11 +1,11 @@
 """The experiment engine: memoised, disk-cached, parallel workload execution.
 
 Several figures slice the same runs (Fig. 9 and Table 4 both need
-GPM/CAP-mm results; Fig. 12 needs the GPM windows), so every run is keyed
-by ``(workload name, mode, machine configuration)`` and satisfied from, in
-order:
+GPM/CAP-mm results; Fig. 12 and the persistence profile read the GPM
+windows), so every run is keyed by ``(workload name, mode, machine
+configuration)`` and satisfied from, in order:
 
-1. the **in-process memo** (this module's dictionaries),
+1. the **in-process memo** (this module's ``_cache``),
 2. the **persistent disk cache** (:class:`~repro.experiments.diskcache.
    ResultCache`, enabled by the CLI / :func:`set_disk_cache`) - results
    survive process exit and are shared across concurrent processes,
@@ -43,15 +43,8 @@ from typing import Callable, Iterable, Sequence
 from ..host.gpufs import GpufsUnsupported
 from ..sim import config as _config
 from ..sim.config import SystemConfig
-from ..sim.trace import ProfileSink, ProfileSummary, record_events
 from ..workloads import Mode, RunResult, gpmbench_suite
-from .diskcache import (
-    ResultCache,
-    profile_from_record,
-    profile_to_record,
-    result_from_record,
-    result_to_record,
-)
+from .diskcache import ResultCache, result_from_record, result_to_record
 
 
 def _current_config() -> SystemConfig:
@@ -68,21 +61,18 @@ class _Unsupported:
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One (workload, mode) run an artefact needs, optionally profiled."""
+    """One (workload, mode) run an artefact needs."""
 
     workload: str
     mode: Mode
-    profiled: bool = False
 
     @property
     def sort_key(self) -> tuple:
-        return (self.workload, self.mode.value, self.profiled)
+        return (self.workload, self.mode.value)
 
 
 #: (workload name, mode, config) -> RunResult | _Unsupported
 _cache: dict[tuple[str, Mode, SystemConfig], RunResult | _Unsupported] = {}
-#: (workload name, mode, config) -> (RunResult, event-derived profile)
-_profile_cache: dict[tuple[str, Mode, SystemConfig], tuple[RunResult, ProfileSummary]] = {}
 
 #: Persistent cache shared across processes; ``None`` keeps the engine
 #: memory-only (the library default - the CLI opts in).
@@ -174,9 +164,9 @@ def workload_names() -> list[str]:
     return [w.name for w in gpmbench_suite()]
 
 
-def modes_matrix(*modes: Mode, profiled: bool = False) -> list[RunRequest]:
+def modes_matrix(*modes: Mode) -> list[RunRequest]:
     """Every lineup workload crossed with the given modes."""
-    return [RunRequest(name, mode, profiled)
+    return [RunRequest(name, mode)
             for name in workload_names() for mode in modes]
 
 
@@ -195,7 +185,7 @@ def _fresh(name: str):
 # --------------------------------------------------------------------------
 
 
-def _execute(workload: str, mode_value: str, profiled: bool) -> dict:
+def _execute(workload: str, mode_value: str) -> dict:
     """Run one workload fresh; return its serialized payload.
 
     Module-level and picklable: this is the unit of work :func:`fan_out`
@@ -203,15 +193,8 @@ def _execute(workload: str, mode_value: str, profiled: bool) -> dict:
     parallel and sequential paths on one serialization, so their results
     cannot diverge.
     """
-    mode = Mode(mode_value)
     try:
-        if profiled:
-            sink = ProfileSink()
-            with record_events(sink):
-                result = _fresh(workload).run(mode)
-            return {"result": result_to_record(result),
-                    "profile": profile_to_record(sink.summary)}
-        return {"result": result_to_record(_fresh(workload).run(mode))}
+        return {"result": result_to_record(_fresh(workload).run(Mode(mode_value)))}
     except GpufsUnsupported as exc:
         return {"unsupported": exc.reason}
 
@@ -257,35 +240,12 @@ def run_litmus_batch(tasks: list[tuple], jobs: int | None = None) -> list[dict]:
     return results
 
 
-def _memo_satisfies(req: RunRequest, config: SystemConfig) -> bool:
-    key = (req.workload, req.mode, config)
-    if req.profiled:
-        return key in _profile_cache or isinstance(_cache.get(key), _Unsupported)
-    return key in _cache
-
-
 def _install_payload(req: RunRequest, config: SystemConfig, payload: dict) -> None:
     key = (req.workload, req.mode, config)
     if "unsupported" in payload:
         _cache[key] = _Unsupported(payload["unsupported"])
-        return
-    result = result_from_record(payload["result"])
-    if "profile" in payload:
-        _profile_cache[key] = (result, profile_from_record(payload["profile"]))
-        _cache.setdefault(key, result)
     else:
-        _cache[key] = result
-
-
-def _normalize(requests: Iterable) -> list[RunRequest]:
-    out = []
-    for req in requests:
-        if isinstance(req, RunRequest):
-            out.append(req)
-        else:
-            name, mode, *rest = req
-            out.append(RunRequest(name, Mode(mode), bool(rest and rest[0])))
-    return out
+        _cache[key] = result_from_record(payload["result"])
 
 
 # --------------------------------------------------------------------------
@@ -293,46 +253,36 @@ def _normalize(requests: Iterable) -> list[RunRequest]:
 # --------------------------------------------------------------------------
 
 
-def prefetch(requests: Iterable, jobs: int | None = None) -> None:
+def prefetch(requests: Iterable[RunRequest], jobs: int | None = None) -> None:
     """Satisfy a batch of run requests, fanning misses over fork workers.
 
-    Deduplicates the requests (a profiled run subsumes its plain twin),
-    satisfies what it can from the memo and the disk cache, and executes
-    the rest through :func:`fan_out` at width ``jobs`` (default: the
-    engine-wide setting of :func:`set_default_jobs`).  After
-    the call every request is answerable from the memo, so subsequent
-    ``run_workload`` calls are hits.
+    Deduplicates the requests, satisfies what it can from the memo and the
+    disk cache, and executes the rest through :func:`fan_out` at width
+    ``jobs`` (default: the engine-wide setting of
+    :func:`set_default_jobs`).  After the call every request is answerable
+    from the memo, so subsequent ``run_workload`` calls are hits.
     """
     config = _current_config()
-    requests = _normalize(requests)
-    profiled = {(r.workload, r.mode) for r in requests if r.profiled}
-    deduped: dict[tuple, RunRequest] = {}
-    for req in requests:
-        if not req.profiled and (req.workload, req.mode) in profiled:
-            continue  # the profiled twin seeds the plain memo too
-        deduped.setdefault((req.workload, req.mode, req.profiled), req)
     pending = sorted(
-        (r for r in deduped.values() if not _memo_satisfies(r, config)),
+        {r for r in requests if (r.workload, r.mode, config) not in _cache},
         key=lambda r: r.sort_key,
     )
     if _disk_cache is not None:
         still = []
         for req in pending:
-            payload = _disk_cache.load_run(req.workload, req.mode,
-                                           req.profiled, config)
+            payload = _disk_cache.load_run(req.workload, req.mode, config)
             if payload is not None:
                 _install_payload(req, config, payload)
             else:
                 still.append(req)
         pending = still
     payloads = fan_out(_execute,
-                       [(r.workload, r.mode.value, r.profiled) for r in pending],
+                       [(r.workload, r.mode.value) for r in pending],
                        _default_jobs if jobs is None else jobs)
     for req, payload in zip(pending, payloads):
         _install_payload(req, config, payload)
         if _disk_cache is not None:
-            _disk_cache.store_run(req.workload, req.mode, req.profiled,
-                                  config, payload)
+            _disk_cache.store_run(req.workload, req.mode, config, payload)
 
 
 def run_workload(name: str, mode: Mode) -> RunResult:
@@ -349,21 +299,6 @@ def run_workload(name: str, mode: Mode) -> RunResult:
     return out
 
 
-def run_workload_profiled(name: str, mode: Mode) -> tuple[RunResult, ProfileSummary]:
-    """Run one workload with a :class:`ProfileSink` attached to its machines.
-
-    Returns the run result plus the persistence profile derived purely from
-    the event stream (windowed to the workload's measured section).  The
-    run also populates the plain :func:`run_workload` cache.
-    """
-    prefetch([RunRequest(name, mode, profiled=True)])
-    key = (name, mode, _current_config())
-    if key not in _profile_cache and isinstance(_cache.get(key), _Unsupported):
-        raise GpufsUnsupported(_cache[key].reason)
-    return _profile_cache[key]
-
-
 def clear_cache() -> None:
     """Drop the in-process memo (the disk cache is untouched)."""
     _cache.clear()
-    _profile_cache.clear()

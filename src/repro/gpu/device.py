@@ -347,7 +347,6 @@ class Gpu:
         warp_size = self.config.gpu_warp_size
         acct = LaunchAccounting()
         engine = _BlockEngine(self.machine, acct, defer=crash_injector is None)
-        before = self.machine.stats.snapshot()
         total_threads = grid.count * block.count
         acct.ops += compute_ops_per_thread * total_threads
         self.machine.events.emit(KernelLaunch(kind="kernel"))
@@ -407,7 +406,6 @@ class Gpu:
         return KernelResult(
             elapsed=elapsed,
             accounting=acct,
-            stats_delta=self.machine.stats.delta_since(before),
             threads=total_threads,
             warps=warps_in_grid(grid, block, warp_size),
             lane="warp" if warp_impl is not None else "scalar",

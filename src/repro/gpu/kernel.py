@@ -30,7 +30,6 @@ import numpy as np
 
 from ..sim.machine import Machine
 from ..sim.memory import MemKind, Region
-from ..sim.stats import MachineStats
 from .hierarchy import Dim3, ThreadId
 
 
@@ -70,7 +69,6 @@ class KernelResult:
 
     elapsed: float
     accounting: LaunchAccounting
-    stats_delta: MachineStats
     threads: int
     warps: int
     crashed: bool = False
@@ -86,7 +84,7 @@ class _WarpDrainBuffer:
     Stores accumulate as plain per-region lists; they are converted to
     arrays and merged into coalesced segments exactly once, when the round
     drains (``_BlockEngine._drain_queue``).  The scalar lane appends python
-    ints (:meth:`add` / :meth:`add_many`); the warp lane appends whole
+    ints (:meth:`add_many`); the warp lane appends whole
     numpy batches (:meth:`add_arrays`) - a round's lists hold one kind or
     the other, never a mix, and the drain queue normalises either.
 
@@ -100,15 +98,6 @@ class _WarpDrainBuffer:
     rounds: dict[int, dict[int, tuple[Region, list[int], list[int]]]] = field(
         default_factory=dict
     )
-
-    def add(self, round_no: int, region: Region, start: int, length: int) -> None:
-        per_region = self.rounds.setdefault(round_no, {})
-        key = region.token
-        if key not in per_region:
-            per_region[key] = (region, [], [])
-        _, starts, lengths = per_region[key]
-        starts.append(start)
-        lengths.append(length)
 
     def add_many(self, round_no: int, pending: list[tuple[Region, int, int]]) -> None:
         """Move a thread's whole pending list into ``round_no`` in one pass."""

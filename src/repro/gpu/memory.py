@@ -114,14 +114,6 @@ class DeviceArray:
         return wctx.load_gather(self.region, offsets, counts, self.dtype,
                                 lanes=lanes)
 
-    def write_scatter_warp(self, wctx, indices, values, counts,
-                           lanes=None) -> None:
-        """Ragged per-lane stores: lane ``j`` writes ``counts[j]`` elements
-        starting at ``indices[j]``; ``values`` is the flat concatenation."""
-        offsets, counts = self._byte_offsets_ragged(indices, counts)
-        wctx.store_scatter(self.region, offsets, values, counts, self.dtype,
-                           lanes=lanes)
-
     def write_vec_warp(self, wctx, indices, values, lanes=None) -> None:
         """Per-lane stores of one fixed-width vector each: ``values`` is
         ``(k, n)``; lane ``j`` writes row ``j`` at ``indices[j]``."""

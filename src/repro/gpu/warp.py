@@ -313,48 +313,6 @@ class WarpContext:
             acct.host_read_bytes += total
         return data
 
-    def store_scatter(self, region: Region, offsets, values, counts,
-                      dtype=np.uint8, lanes=None) -> None:
-        """Ragged per-lane stores: lane ``j`` stores ``counts[j]`` elements.
-
-        The scatter twin of :meth:`load_gather`: ``values`` is the flat
-        lane-major concatenation of every lane's run.  Visible immediately;
-        host stores join ``_pending`` with one segment per lane, so each
-        lane's fence round drains exactly its own bytes through the shared
-        coalescing path.  Overlapping runs resolve highest-lane-wins,
-        matching scalar thread order.
-        """
-        sel = self._sel(lanes)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        k = offsets.size
-        if k == 0:
-            return
-        dtype = np.dtype(dtype)
-        nbytes = counts * dtype.itemsize
-        lo = int(offsets.min())
-        hi = int((offsets + nbytes).max())
-        if lo < 0 or hi > region.size:
-            raise IndexError(
-                f"warp scatter [{lo}, {hi}) outside region {region.name!r} "
-                f"of size {region.size}"
-            )
-        arr = np.ascontiguousarray(np.asarray(values, dtype=dtype))
-        raw = arr.reshape(-1).view(np.uint8)
-        if raw.size != int(nbytes.sum()):
-            raise ValueError(
-                f"scatter values supply {raw.size} bytes for segments "
-                f"totalling {int(nbytes.sum())}"
-            )
-        idx = self._ragged_indices(offsets, nbytes)
-        region.visible[idx] = raw
-        acct = self._engine.acct
-        acct.ops += k
-        if region.kind is MemKind.HBM:
-            acct.hbm_write_bytes += raw.size
-        else:
-            self._pending.append((region, offsets, nbytes, sel))
-
     def store(self, region: Region, offsets, values, dtype=np.uint8,
               lanes=None, coalesced: bool = False) -> None:
         """Per-lane typed stores; visible immediately, persistence on fence.

@@ -42,7 +42,7 @@ from .persistency import (
     resolve_model,
 )
 from .stats import MachineStats, WindowedStats
-from .trace import ProfileSink, ProfileSummary, TraceRecorder, load_jsonl, record_events
+from .trace import TraceRecorder, load_jsonl, record_events
 
 __all__ = [
     "AdaptivePath",
@@ -65,8 +65,6 @@ __all__ = [
     "MemKind",
     "OptaneModel",
     "PcieModel",
-    "ProfileSink",
-    "ProfileSummary",
     "Region",
     "SimClock",
     "SimulatedCrash",

@@ -49,13 +49,6 @@ def iota64(n: int) -> np.ndarray:
     return _iota[:n]
 
 
-def clear_scratch() -> None:
-    """Drop all scratch state (tests / memory pressure)."""
-    global _iota
-    _scratch.clear()
-    _iota = np.empty(0, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # the transfer descriptor
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ Consumers are pluggable subscribers:
   :class:`~repro.sim.stats.MachineStats` counters (the bus is the *only*
   writer of those counters);
 * :class:`~repro.sim.trace.TraceRecorder` keeps the ordered event stream
-  and exports it as JSONL or a Chrome-trace JSON;
-* :class:`~repro.sim.trace.ProfileSink` regenerates the WHISPER-style
-  persistence profile of ``experiments/profile.py`` from events alone.
+  and exports it as JSONL or a Chrome-trace JSON.
+
+Windowed counters - the paper's traffic metrics and the WHISPER-style
+profile of ``experiments/profile.py`` alike - are this one fold measured
+between two :class:`WindowMark` events (``workloads.base.measure``).
 
 Events are timestamped with the simulated clock at emission.  Every event is
 a flat, slotted dataclass so the stream can round-trip through JSON:

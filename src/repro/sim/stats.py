@@ -65,15 +65,6 @@ class MachineStats:
             }
         )
 
-    def merged_with(self, other: "MachineStats") -> "MachineStats":
-        """Return the element-wise sum of two counter sets."""
-        return MachineStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 @dataclass
 class WindowedStats:
@@ -89,9 +80,3 @@ class WindowedStats:
         if self.elapsed <= 0:
             return 0.0
         return self.stats.pcie_bytes_to_host / self.elapsed
-
-    @property
-    def pm_write_bandwidth(self) -> float:
-        if self.elapsed <= 0:
-            return 0.0
-        return self.stats.pm_bytes_written / self.elapsed

@@ -1,15 +1,11 @@
 """Trace capture and export for the hardware event bus.
 
-Three consumers of :mod:`repro.sim.events` live here:
+Two helpers for consumers of :mod:`repro.sim.events` live here:
 
 * :class:`TraceRecorder` - keeps the ordered ``(timestamp, event)`` stream
   and exports it as JSONL (one record per line, replayable through
   :func:`~repro.sim.events.stats_from_events`) or as a Chrome-trace JSON
   loadable in ``chrome://tracing`` / Perfetto;
-* :class:`ProfileSink` - accumulates the WHISPER-style persistence profile
-  (fences, PM bytes, media amplification, PCIe transactions, kernels) that
-  ``experiments/profile.py`` reports, windowed by
-  :class:`~repro.sim.events.WindowMark` boundaries;
 * :func:`record_events` - a context manager that attaches a recorder to
   every machine created inside it, which is how the
   ``python -m repro trace`` CLI observes systems built deep inside a
@@ -20,7 +16,6 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .events import (
     BackgroundPersist,
@@ -173,74 +168,6 @@ def load_jsonl(path) -> list[tuple[float, Event]]:
             if line:
                 out.append(event_from_record(json.loads(line)))
     return out
-
-
-# --------------------------------------------------------------------------
-# the persistence-profile sink
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ProfileSummary:
-    """Event-derived persistence profile of one measured window."""
-
-    fences: int = 0
-    pm_bytes: int = 0
-    pm_media_bytes: int = 0
-    pcie_transactions: int = 0
-    kernels: int = 0
-
-    @property
-    def pm_kb(self) -> float:
-        return self.pm_bytes / 1024
-
-    @property
-    def fences_per_kb(self) -> float:
-        return self.fences / self.pm_kb if self.pm_bytes else 0.0
-
-    @property
-    def media_amplification(self) -> float:
-        return (self.pm_media_bytes / self.pm_bytes) if self.pm_bytes else 0.0
-
-    @property
-    def tx_per_kb(self) -> float:
-        return self.pcie_transactions / self.pm_kb if self.pm_bytes else 0.0
-
-
-class ProfileSink:
-    """Accumulates a :class:`ProfileSummary` between window marks.
-
-    The sink only counts events inside :class:`~repro.sim.events.WindowMark`
-    ``begin``/``end`` pairs, so its numbers agree exactly with the windowed
-    stats deltas the experiments historically reported.  With
-    ``windowed=False`` it counts the entire stream.
-    """
-
-    def __init__(self, windowed: bool = True) -> None:
-        self.summary = ProfileSummary()
-        self._windowed = windowed
-        self._depth = 0
-
-    def __call__(self, ts: float, event: Event) -> None:
-        t = type(event)
-        if t is WindowMark:
-            self._depth += 1 if event.phase == "begin" else -1
-            return
-        if self._windowed and self._depth <= 0:
-            return
-        s = self.summary
-        if t is SystemFence:
-            s.fences += event.count
-        elif t is OptaneEpoch:
-            s.pm_bytes += event.logical_bytes
-            s.pm_media_bytes += event.media_bytes
-        elif t is BackgroundPersist:
-            s.pm_bytes += event.nbytes
-            s.pm_media_bytes += event.nbytes
-        elif t is PcieWrite:
-            s.pcie_transactions += event.transactions
-        elif t is KernelLaunch:
-            s.kernels += 1
 
 
 # --------------------------------------------------------------------------

@@ -340,9 +340,11 @@ class PersistentBuffer:
 def measure(system: System, fn, *args, **kwargs):
     """Run ``fn`` and return ``(its result, WindowedStats over the call)``.
 
-    The window boundaries are also announced on the event bus, so windowed
-    event consumers (:class:`~repro.sim.trace.ProfileSink`) agree exactly
-    with the stats delta returned here.
+    The window boundaries are also announced on the event bus as a
+    ``WindowMark`` pair, so a recorded trace shows the measured section:
+    folding the events between the two marks with
+    :func:`~repro.sim.events.stats_from_events` gives exactly the stats
+    delta returned here.
     """
     before = system.stats.snapshot()
     t0 = system.clock.now

@@ -7,12 +7,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.diskcache import result_to_record
-from repro.experiments.runner import (
-    RunRequest,
-    prefetch,
-    run_workload,
-    run_workload_profiled,
-)
+from repro.experiments.runner import RunRequest, prefetch, run_workload
 from repro.host.gpufs import GpufsUnsupported
 from repro.workloads import Mode
 
@@ -28,7 +23,7 @@ FAST_REQUESTS = [
 
 
 def _sequential_payloads(requests):
-    return {req: runner._execute(req.workload, req.mode.value, req.profiled)
+    return {req: runner._execute(req.workload, req.mode.value)
             for req in requests}
 
 
@@ -45,14 +40,6 @@ class TestParallelSequentialParity:
             got = result_to_record(run_workload(req.workload, req.mode))
             assert got == payload["result"]
 
-    def test_profiled_parity(self):
-        req = RunRequest("HS", Mode.GPM, profiled=True)
-        expected = runner._execute(req.workload, req.mode.value, True)
-        runner.clear_cache()
-        prefetch([req], jobs=2)  # single pending -> inline, still via payloads
-        result, profile = run_workload_profiled("HS", Mode.GPM)
-        assert result_to_record(result) == expected["result"]
-
 
 class TestPrefetch:
     def test_seeds_the_memo(self):
@@ -61,16 +48,8 @@ class TestPrefetch:
         key = ("CFD", Mode.GPM, runner._current_config())
         assert key in runner._cache
 
-    def test_profiled_subsumes_plain(self):
+    def test_accepts_generators(self):
         runner.clear_cache()
-        prefetch([RunRequest("HS", Mode.GPM),
-                  RunRequest("HS", Mode.GPM, profiled=True)])
-        key = ("HS", Mode.GPM, runner._current_config())
-        assert key in runner._cache and key in runner._profile_cache
-
-    def test_accepts_tuples_and_generators(self):
-        runner.clear_cache()
-        prefetch((("CFD", "gpm"),))
         prefetch(r for r in [RunRequest("CFD", Mode.GPM)])
         assert ("CFD", Mode.GPM, runner._current_config()) in runner._cache
 
@@ -187,12 +166,12 @@ class TestFanOut:
         from repro.sim import config as sim_config
 
         reqs = [RunRequest("HS", Mode.GPM), RunRequest("CFD", Mode.GPM)]
-        default = {r: runner._execute(r.workload, r.mode.value, False)
+        default = {r: runner._execute(r.workload, r.mode.value)
                    for r in reqs}
         slow = dataclasses.replace(sim_config.DEFAULT_CONFIG,
                                    pcie_bw=sim_config.DEFAULT_CONFIG.pcie_bw / 4)
         monkeypatch.setattr(sim_config, "DEFAULT_CONFIG", slow)
-        expected = {r: runner._execute(r.workload, r.mode.value, False)
+        expected = {r: runner._execute(r.workload, r.mode.value)
                     for r in reqs}
         assert expected != default
         monkeypatch.setattr(runner, "available_cpus", lambda: 2)

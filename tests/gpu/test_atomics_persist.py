@@ -59,4 +59,4 @@ class TestAtomicPersistence:
         # RMW: 8 B read and 8 B write per thread over the link.
         assert acct.host_read_bytes == 32 * 8
         assert acct.host_write_bytes == 32 * 8
-        assert result.stats_delta.pm_bytes_written == 32 * 8
+        assert system.stats.pm_bytes_written == 32 * 8

@@ -17,27 +17,25 @@ class TestDrainBufferTokenKeying:
     def test_buckets_key_by_region_token(self, machine):
         r = machine.alloc_pm("x", 1024)
         buf = _WarpDrainBuffer()
-        buf.add(0, r, 0, 4)
         buf.add_many(1, [(r, 8, 4), (r, 16, 4)])
         buf.add_arrays(2, r, np.array([32], dtype=np.int64),
                        np.array([4], dtype=np.int64))
-        for round_no in (0, 1, 2):
+        for round_no in (1, 2):
             assert list(buf.rounds[round_no]) == [r.token]
 
     def test_free_realloc_mid_kernel_never_merges(self, machine):
         # Repeat to give CPython every chance to hand the fresh Region the
         # dead one's id(); under token keying the two allocations must land
-        # in distinct buckets every single time, via all three append paths.
+        # in distinct buckets every single time, via both append paths.
         for _ in range(32):
             buf = _WarpDrainBuffer()
             r1 = machine.alloc_pm("alias", 1024)
             t1 = r1.token
-            buf.add(0, r1, 0, 4)
-            buf.add_many(0, [(r1, 4, 4)])
+            buf.add_many(0, [(r1, 0, 4), (r1, 4, 4)])
             machine.free(r1)
             del r1
             r2 = machine.alloc_pm("alias", 1024)
-            buf.add(0, r2, 128, 4)
+            buf.add_many(0, [(r2, 128, 4)])
             buf.add_arrays(0, r2, np.array([256], dtype=np.int64),
                            np.array([4], dtype=np.int64))
             per_region = buf.rounds[0]

@@ -52,18 +52,9 @@ class TestStats:
         assert d.system_fences == 2
         assert d.pcie_bytes_to_gpu == 0
 
-    def test_merged_with(self):
-        a = MachineStats(pm_bytes_written=1)
-        b = MachineStats(pm_bytes_written=2, syscalls=3)
-        m = a.merged_with(b)
-        assert m.pm_bytes_written == 3
-        assert m.syscalls == 3
-
     def test_windowed_bandwidths(self):
-        w = WindowedStats(MachineStats(pcie_bytes_to_host=1000, pm_bytes_written=500),
-                          elapsed=1e-6)
+        w = WindowedStats(MachineStats(pcie_bytes_to_host=1000), elapsed=1e-6)
         assert w.pcie_write_bandwidth == pytest.approx(1e9)
-        assert w.pm_write_bandwidth == pytest.approx(5e8)
 
     def test_windowed_zero_elapsed(self):
         w = WindowedStats(MachineStats(pcie_bytes_to_host=1000), elapsed=0.0)

@@ -122,6 +122,8 @@ class TestServeCli:
         ("--read-fraction", "1.5", "read fraction must be in [0, 1]"),
         ("--delete-fraction", "0.6", "delete fraction must be >= 0"),
         ("--linger", "-1", "linger must be >= 0"),
+        ("--duration", "-1", "duration must be >= 0"),
+        ("--theta", "1", "theta must be in [0, 1)"),
         ("--target-batch", "0", "target batch must be >= 1"),
         ("--mode", "warp-drive", "unknown persistence mode"),
     ])
