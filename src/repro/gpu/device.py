@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections import defaultdict
 
 import numpy as np
 
-from ..sim.bulk import BulkTransfer
+from ..sim.bulk import BulkTransfer, iota64
 from ..sim.crash import CrashInjector, SimulatedCrash
 from ..sim.events import (
     EpochBoundary,
@@ -85,7 +86,9 @@ class _BlockEngine:
         #: round; epoch: fences coalesce per epoch, ordering only across
         #: barriers; relaxed: durability only at kernel completion).
         self.policy = machine.persistency.fence_policy
-        self._buffers: dict[int, _WarpDrainBuffer] = {}
+        #: warp -> its pending drain rounds, created on the warp's first
+        #: fenced (or retiring) store.
+        self._buffers: dict[int, _WarpDrainBuffer] = defaultdict(_WarpDrainBuffer)
         self._warp_rounds: dict[int, int] = {}
         self._warps_with_writes: set[int] = set()
         #: fences completed this launch; emitted as one batched SystemFence
@@ -143,8 +146,7 @@ class _BlockEngine:
             self._warp_rounds[warp] = max(self._warp_rounds.get(warp, 0), ctx._round)
             round_no = ctx._round
         if ctx._pending:
-            buf = self._buffers.setdefault(warp, _WarpDrainBuffer())
-            buf.add_many(round_no, ctx._pending)
+            self._buffers[warp].add_many(round_no, ctx._pending)
             ctx._pending.clear()
             self._warps_with_writes.add(warp)
 
@@ -154,8 +156,7 @@ class _BlockEngine:
         """Move a retiring thread's unfenced stores to the implicit round."""
         if ctx._pending:
             warp = ctx.tid.warp_global
-            buf = self._buffers.setdefault(warp, _WarpDrainBuffer())
-            buf.add_many(_IMPLICIT_ROUND, ctx._pending)
+            self._buffers[warp].add_many(_IMPLICIT_ROUND, ctx._pending)
             ctx._pending.clear()
             self._warps_with_writes.add(warp)
 
@@ -163,16 +164,21 @@ class _BlockEngine:
         buf = self._buffers.pop(warp_global, None)
         if buf is None:
             return
+        rounds = buf.rounds
         # Sentinel mutant "fence-order": deliver the buffered rounds in
         # reverse - a later fence's writes become durable while an earlier
         # fence's are still pending, re-planting the broken-demo bug at the
-        # engine level for the litmus fuzzer to catch.
-        for round_no in sorted(buf.rounds,
-                               reverse=active_mutant() == "fence-order"):
-            for region, starts, lengths in buf.rounds[round_no].values():
-                self._queue.append((region, starts, lengths, round_no))
+        # engine level for the litmus fuzzer to catch.  A single round (the
+        # convergent one-fence warp) has no order to sort or reverse.
+        order = rounds if len(rounds) == 1 else sorted(
+            rounds, reverse=active_mutant() == "fence-order")
+        queue = self._queue
+        for round_no in order:
+            for region, starts, lengths in rounds[round_no].values():
+                queue.append((region, starts, lengths, round_no))
                 if not self.defer:
                     self._drain_queue()
+                    queue = self._queue
 
     def flush_all(self) -> None:
         for warp in list(self._buffers):
@@ -226,23 +232,23 @@ class _BlockEngine:
                 j += 1
             entries = queue[i:j]
             i = j
-            flat_s, flat_l, flat_g = [], [], []
-            for g, (_region, starts, lengths, _round) in enumerate(entries):
-                # The scalar lane buffers lists of ints, the warp lane lists
-                # of numpy batches; either way one flat array pair per group.
-                if starts and isinstance(starts[0], np.ndarray):
-                    s = np.concatenate(starts)
-                    l = np.concatenate(lengths)
-                else:
-                    s = np.asarray(starts, dtype=np.int64)
-                    l = np.asarray(lengths, dtype=np.int64)
-                flat_s.append(s)
-                flat_l.append(l)
-                flat_g.append(np.full(s.size, g, dtype=np.int64))
             n_groups = len(entries)
+            # One flat start/length array per region run.  The scalar lane
+            # buffers lists of ints, the warp lane lists of numpy batches;
+            # a launch runs one lane, so the first entry tells the kind.
+            if isinstance(entries[0][1][0], np.ndarray):
+                batches = [b for e in entries for b in e[1]]
+                flat_s = np.concatenate(batches)
+                flat_l = np.concatenate([b for e in entries for b in e[2]])
+                owner = [g for g, e in enumerate(entries) for _b in e[1]]
+                sizes = [b.size for b in batches]
+            else:
+                flat_s = np.array([x for e in entries for x in e[1]], dtype=np.int64)
+                flat_l = np.array([x for e in entries for x in e[2]], dtype=np.int64)
+                owner = range(n_groups)
+                sizes = [len(e[1]) for e in entries]
             run_s, run_l, run_g = merge_segments_grouped(
-                np.concatenate(flat_s), np.concatenate(flat_l),
-                np.concatenate(flat_g), region.size + 1)
+                flat_s, flat_l, np.repeat(owner, sizes), region.size + 1)
             bounds = run_g.searchsorted(np.arange(n_groups + 1)).tolist()
             nbytes_l = np.bincount(run_g, weights=run_l,
                                    minlength=n_groups).astype(np.int64).tolist()
@@ -251,11 +257,13 @@ class _BlockEngine:
             tx_l = np.bincount(run_g, weights=spans,
                                minlength=n_groups).astype(np.int64).tolist()
 
+            name = region.name
+
             def _drain(g):
                 lo, hi = bounds[g], bounds[g + 1]
                 round_no = entries[g][3]
                 emit(WarpDrain(
-                    region=region.name,
+                    region=name,
                     round_no=-1 if round_no == _IMPLICIT_ROUND else round_no,
                     segments=hi - lo, nbytes=nbytes_l[g],
                     starts=run_s[lo:hi], lengths=run_l[lo:hi],
@@ -362,9 +370,9 @@ class Gpu:
                 shared = shared_factory(block_flat) if shared_factory else {}
                 if warp_impl is not None:
                     retired = self._run_block_warps(
-                        warp_impl, grid, block, block_flat, shared, args,
-                        engine, warp_size, retired, is_generator,
-                        crash_injector,
+                        warp_impl, grid.count, block.count, block_flat,
+                        shared, args, engine, warp_size, retired,
+                        is_generator, crash_injector,
                     )
                     continue
                 contexts = [
@@ -449,9 +457,9 @@ class Gpu:
             active = still
         return retired
 
-    def _run_block_warps(self, warp_impl, grid, block, block_flat, shared,
-                         args, engine, warp_size, retired, is_generator,
-                         injector):
+    def _run_block_warps(self, warp_impl, grid_count, block_count, block_flat,
+                         shared, args, engine, warp_size, retired,
+                         is_generator, injector):
         """One block on the vectorized lane: one Python call per warp.
 
         Plain warp kernels mirror ``_run_block_plain``: run the warp, move
@@ -463,25 +471,28 @@ class Gpu:
         so event order and retired-thread counts are identical by
         construction.
         """
-        n = block.count
+        # Thread ids are slices of one shared read-only ramp over the grid,
+        # not per-warp arithmetic: lanes w0..end of the block, and of the
+        # grid from the block's base.
+        base = block_flat * block_count
+        ramp = iota64(grid_count * block_count)
+        first_warp = block_flat * ((block_count + warp_size - 1) // warp_size)
+        contexts = []
+        for w, w0 in enumerate(range(0, block_count, warp_size)):
+            end = min(w0 + warp_size, block_count)
+            contexts.append(WarpContext(
+                grid_count, block_count, block_flat, first_warp + w, w,
+                ramp[w0:end], ramp[base + w0:base + end], shared, engine))
         if not is_generator:
-            for w0 in range(0, n, warp_size):
-                count = min(warp_size, n - w0)
-                wctx = WarpContext(grid, block, block_flat, w0, count,
-                                   warp_size, shared, engine)
+            for wctx in contexts:
                 warp_impl(wctx, *args)
                 wctx._retire()
-                retired += count
+                retired += wctx.n
                 if injector is not None:
-                    injector.advance(count)
+                    injector.advance(wctx.n)
                 engine.flush_warp(wctx.warp_global)
             return retired
-        running = []
-        for w0 in range(0, n, warp_size):
-            count = min(warp_size, n - w0)
-            wctx = WarpContext(grid, block, block_flat, w0, count,
-                               warp_size, shared, engine)
-            running.append((wctx, warp_impl(wctx, *args)))
+        running = [(wctx, warp_impl(wctx, *args)) for wctx in contexts]
         while running:
             still = []
             newly = 0

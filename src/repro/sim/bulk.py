@@ -42,10 +42,11 @@ def scratch_bytes(key: object, nbytes: int) -> np.ndarray:
 
 
 def iota64(n: int) -> np.ndarray:
-    """A read-shared view of ``arange(n, dtype=int64)`` (do not mutate)."""
+    """A read-only view of ``arange(n, dtype=int64)``, shared by callers."""
     global _iota
     if _iota.size < n:
         _iota = np.arange(max(n, 1024), dtype=np.int64)
+        _iota.setflags(write=False)
     return _iota[:n]
 
 

@@ -38,6 +38,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .clock import SimClock
 from .stats import MachineStats
 
 # --------------------------------------------------------------------------
@@ -449,7 +450,8 @@ class EventBus:
     __slots__ = ("_clock", "_subscribers", "emit")
 
     def __init__(self, clock=None) -> None:
-        self._clock = clock
+        # A bus built without a clock stamps every event at t = 0.
+        self._clock = clock if clock is not None else SimClock()
         self._subscribers: list[Callable[[float, Event], None]] = list(
             _GLOBAL_SUBSCRIBERS
         )
@@ -458,19 +460,19 @@ class EventBus:
     def _rebind(self) -> None:
         # The emit attribute is rebound to the cheapest correct variant so
         # the common one-subscriber case (just the stats aggregator) costs a
-        # single call on the kernel path.
+        # single call on the kernel path.  Timestamps read the clock's
+        # ``_now`` attribute directly, not the ``now`` property.
+        clock = self._clock
         if len(self._subscribers) == 1:
-            single = self._subscribers[0]
-            clock = self._clock
 
-            def emit(event: Event, _single=single, _clock=clock) -> None:
-                _single(_clock.now if _clock is not None else 0.0, event)
+            def emit(event: Event, _single=self._subscribers[0], _clock=clock) -> None:
+                _single(_clock._now, event)
 
         else:
 
-            def emit(event: Event) -> None:
-                ts = self._clock.now if self._clock is not None else 0.0
-                for sub in list(self._subscribers):
+            def emit(event: Event, _subscribers=self._subscribers, _clock=clock) -> None:
+                ts = _clock._now
+                for sub in list(_subscribers):
                     sub(ts, event)
 
         self.emit = emit

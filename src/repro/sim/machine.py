@@ -180,13 +180,9 @@ class Machine:
         if (region.kind is MemKind.PM and not self.ddio_enabled
                 and not self.persistency.adaptive
                 and (run_lengths > 0).all() and (bounds[1:] > bounds[:-1]).all()):
-
-            def _pm_write(_group: int, logical_bytes: int) -> None:
-                self.events.emit(GpuPmWrite(nbytes=logical_bytes))
-
             return self.optane.write_epochs(region, run_starts, run_lengths,
                                             run_groups, n_groups,
-                                            after_group=_pm_write,
+                                            arrival_event=GpuPmWrite,
                                             before_group=before_group)
         times = np.zeros(n_groups)
         bounds = bounds.tolist()

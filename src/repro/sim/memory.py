@@ -146,9 +146,9 @@ class Region:
         self._check_range(offset, size)
         self.persisted[offset : offset + size] = self.visible[offset : offset + size]
 
-    #: Below this many segments a plain slice loop beats building the index
+    #: Up to this many segments a plain slice loop beats building the index
     #: vector (see ``benchmarks/test_persist_ranges.py``).
-    _PERSIST_SLICE_THRESHOLD = 16
+    PERSIST_SLICE_THRESHOLD = 16
 
     def persist_ranges(self, starts: np.ndarray, lengths: np.ndarray) -> None:
         """Vectorised :meth:`persist_range` over many segments.
@@ -161,9 +161,8 @@ class Region:
             raise TypeError(f"cannot persist volatile region {self.name!r}")
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
-        if starts.size <= self._PERSIST_SLICE_THRESHOLD:
-            for start, length in zip(starts.tolist(), lengths.tolist()):
-                self.persisted[start : start + length] = self.visible[start : start + length]
+        if starts.size <= self.PERSIST_SLICE_THRESHOLD:
+            self.persist_slices(starts.tolist(), lengths.tolist())
             return
         keep = lengths > 0
         if not keep.all():
@@ -180,6 +179,13 @@ class Region:
         idx = np.repeat(before, lengths)
         idx += bulk.iota64(total)
         self.persisted[idx] = self.visible[idx]
+
+    def persist_slices(self, starts: list[int], lengths: list[int]) -> None:
+        """The slice-loop :meth:`persist_ranges` over a few in-range
+        segments given as Python ints (a PM region only; no checks)."""
+        persisted, visible = self.persisted, self.visible
+        for start, length in zip(starts, lengths):
+            persisted[start:start + length] = visible[start:start + length]
 
     def crash(self) -> None:
         """Apply crash semantics: keep only what was persisted."""

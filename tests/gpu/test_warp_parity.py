@@ -82,9 +82,14 @@ CASES = [
     ("bino", lambda: BinomialOptions(BinomialConfig(n_options=24, steps=16,
                                                     block_dim=32)),
      [Mode.GPM, Mode.CAP_MM]),
-    # SRAD's per-plane stencil store kernel (streaming, unaligned).
+    # SRAD's per-plane stencil store kernel (streaming, unaligned): every
+    # warp full, so every store takes the whole-warp coalesced route.
     ("srad", lambda: Srad(SradConfig(n=48, iterations=2)),
-     [Mode.GPM, Mode.CAP_MM, Mode.GPM_EPOCH, Mode.GPM_RELAXED]),
+     [Mode.GPM, Mode.CAP_MM, Mode.GPM_EPOCH, Mode.GPM_RELAXED,
+      Mode.GPM_ADAPTIVE]),
+    # 45 x 45 pixels: each plane's grid ends in a partially masked warp.
+    ("srad-tail", lambda: Srad(SradConfig(n=45, iterations=2)),
+     [Mode.GPM, Mode.GPM_EPOCH, Mode.GPM_ADAPTIVE]),
     # BFS frontier expansion: ragged neighbour gathers, first-claim scatter
     # races, and the chained visit-order atomics.
     ("bfs", lambda: GraphBfs(BfsConfig(rows=16, cols=24, engine="kernel",
