@@ -13,6 +13,11 @@ flush has persisted the bytes.
 ``test_warp_drain_then_flush``: a DDIO-on warp drain - a 3-segment install
 of a few lines - then a ``flush_range`` over them.
 
+``test_grouped_ddio_drain``: 1,152 warp drains of one 128 B run each,
+SRAD's per-warp shape under GPM-eADR, delivered as one
+``Machine.io_write_arrival_groups`` call against the same arrivals as
+sequential ``io_write_arrival`` calls.
+
 The shipped cache keeps per-line LRU stamps in arrays (see
 ``docs/performance.md``, "LLC write-back path"); the reference is the
 ``OrderedDict`` model of ``tests/sim/test_cache.py``, which walks every
@@ -107,3 +112,33 @@ def test_warp_drain_then_flush(benchmark, reference):
     benchmark(run)
     assert len(machine.llc) == 0
     assert (region.persisted[8192:8192 + 128] == 0x5A).all()
+
+
+_GROUPS = 1152
+_RUN = 128
+
+
+@pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "sequential"])
+def test_grouped_ddio_drain(benchmark, grouped):
+    """1,152 one-run groups into the LLC, grouped or one call per group."""
+    starts = np.arange(_GROUPS, dtype=np.int64) * _RUN
+    lengths = np.full(_GROUPS, _RUN, dtype=np.int64)
+    groups = np.arange(_GROUPS, dtype=np.int64)
+    machines = []
+
+    def setup():
+        machine = Machine()
+        machines[:] = [machine]
+        return (machine, machine.alloc_pm("grid", _GROUPS * _RUN)), {}
+
+    def run(machine, region):
+        if grouped:
+            machine.io_write_arrival_groups(region, starts, lengths, groups, _GROUPS)
+        else:
+            for g in range(_GROUPS):
+                machine.io_write_arrival(region, starts[g:g + 1], lengths[g:g + 1])
+
+    benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
+    machine = machines[0]
+    assert machine.stats.llc_ddio_fills == _GROUPS * _RUN // _LINE
+    assert len(machine.llc) == _GROUPS * _RUN // _LINE

@@ -91,33 +91,38 @@ class LastLevelCache:
         The bytes are already visible (stores update ``region.visible``
         directly); this only tracks *which lines are dirty*, i.e. visible
         but not yet persistent.  Capacity overflow triggers natural LRU
-        eviction, which persists the evicted lines.
+        eviction, which persists the evicted lines.  Array adapter over
+        :meth:`install_runs`; non-PM regions are ignored.
         """
         if region.kind is not MemKind.PM:
             return
-        starts = np.array(starts, dtype=np.int64, ndmin=1)
-        lengths = np.array(lengths, dtype=np.int64, ndmin=1)
-        length_list = lengths.tolist()
+        self.install_runs(region, np.array(starts, dtype=np.int64, ndmin=1).tolist(),
+                          np.array(lengths, dtype=np.int64, ndmin=1).tolist())
+
+    def install_runs(self, region: Region, starts: list[int], lengths: list[int]) -> None:
+        """:meth:`install_writes` over segments given as lists of Python ints.
+
+        ``region`` must be a PM region.  The machine's grouped arrivals
+        install each group from slices of lists converted once per call.
+        """
         # Streaming fast path: traffic far exceeding the DDIO window writes
         # through continuously (lines evict as fast as they fill).  Persist
         # the head of the stream directly and cache only the tail.
-        if sum(length_list) > 2 * self._capacity_lines * self._line:
+        if sum(lengths) > 2 * self._capacity_lines * self._line:
             tail_bytes = self._capacity_lines * self._line
             starts, lengths = self._persist_all_but_tail(region, starts, lengths, tail_bytes)
-            length_list = lengths.tolist()
         base, n_lines, _ = self._blocks.get(region.token) or self._new_block(region)
         line = self._line
-        start_list = starts.tolist()
-        if len(start_list) == 1:
-            if length_list[0] <= 0:
+        if len(starts) == 1:
+            if lengths[0] <= 0:
                 return
-            first = start_list[0] // line
-            last = (start_list[0] + length_list[0] - 1) // line
+            first = starts[0] // line
+            last = (starts[0] + lengths[0] - 1) // line
             order = range(first, last + 1)
             touched = len(order)
         else:
             seq: list[int] = []
-            for start, length in zip(start_list, length_list):
+            for start, length in zip(starts, lengths):
                 if length > 0:
                     seq.extend(range(start // line, (start + length - 1) // line + 1))
             if not seq:
@@ -163,14 +168,15 @@ class LastLevelCache:
 
     def _persist_all_but_tail(self, region, starts, lengths, tail_bytes):
         """Write the stream's head straight through; return the tail segments."""
-        order = np.argsort(starts, kind="stable")
-        starts, lengths = starts[order], lengths[order]
+        # Highest start first, walking a stable ascending sort backwards.
+        order = sorted(range(len(starts)), key=starts.__getitem__)
         remaining = tail_bytes
         keep_starts: list[int] = []
         keep_lengths: list[int] = []
         head_starts: list[int] = []
         head_lengths: list[int] = []
-        for start, length in zip(starts[::-1].tolist(), lengths[::-1].tolist()):
+        for i in reversed(order):
+            start, length = starts[i], lengths[i]
             if remaining >= length:
                 keep_starts.append(start)
                 keep_lengths.append(length)
@@ -193,7 +199,7 @@ class LastLevelCache:
                 for start, length in zip(head_starts, head_lengths)
             )
             self._events.emit(LlcEvict(lines=lines))
-        return np.asarray(keep_starts, dtype=np.int64), np.asarray(keep_lengths, dtype=np.int64)
+        return keep_starts, keep_lengths
 
     def _evict_over_capacity(self) -> None:
         excess = self._count - self._capacity_lines
@@ -205,10 +211,12 @@ class LastLevelCache:
     def _drain(self, gids: np.ndarray, pop: bool) -> None:
         """Write ``gids`` (LRU order) back to PM, one Optane epoch per line.
 
-        Each same-region run is one vectorized ``write_epochs`` call.  With
-        ``pop`` each line is cleared just before it persists, so a crash at
-        a line's epoch finds that line and every earlier one persisted and
-        the later ones still dirty (eADR drains them).
+        Each same-region run takes its per-line epochs from one vectorized
+        :meth:`OptaneModel.line_epochs` call, then persists and announces
+        them line by line.  With ``pop`` each line is cleared just before it
+        persists, so a crash at a line's epoch finds that line and every
+        earlier one persisted and the later ones still dirty (eADR drains
+        them).
 
         Natural evictions are asynchronous background traffic; they persist
         data functionally but are not charged to any foreground timeline.
@@ -218,20 +226,22 @@ class LastLevelCache:
         blocks = self._bases_arr.searchsorted(gids, side="right") - 1
         cuts = (blocks[1:] != blocks[:-1]).nonzero()[0] + 1
         bounds = [0, *cuts.tolist(), gids.size]
+        stamp, emit = self._stamp, self._events.emit
         for lo, hi in zip(bounds, bounds[1:]):
             block = int(blocks[lo])
             region = self._owners[block]
             run = gids[lo:hi]
             starts = (run - self._bases[block]) * self._line
             sizes = np.minimum(self._line, region.size - starts)
-            before = None
-            if pop:
-                def before(g: int, _run=run.tolist(), _stamp=self._stamp) -> None:
-                    _stamp[_run[g]] = 0
+            epochs = self._optane.line_epochs(region, starts, sizes)
+            persisted, visible = region.persisted, region.visible
+            for gid, start, end, epoch in zip(run.tolist(), starts.tolist(),
+                                              (starts + sizes).tolist(), epochs):
+                if pop:
+                    stamp[gid] = 0
                     self._count -= 1
-            n = hi - lo
-            self._optane.write_epochs(region, starts, sizes, np.arange(n), n,
-                                      before_group=before)
+                persisted[start:end] = visible[start:end]
+                emit(epoch)
 
     # -- the arrays behind the dirty set ---------------------------------
 
@@ -309,10 +319,11 @@ class LastLevelCache:
     def flush_range(self, region: Region, offset: int, size: int) -> float:
         """Flush the dirty lines covering ``[offset, offset+size)`` to PM.
 
-        Models a CLFLUSHOPT loop followed by a drain: each dirty line in the
-        range is written back as its own drain epoch (this is what makes
-        flush-grain access patterns pay Optane's partial-line penalty).
-        Returns the media seconds consumed.
+        Models a CLFLUSHOPT loop followed by a drain: the range's dirty
+        lines are written back as one ``line_drain`` epoch that charges
+        every line a full XPLine touch (this is what makes flush-grain
+        access patterns pay Optane's partial-line penalty).  Returns the
+        media seconds consumed.
         """
         stamps, first = self._range(region, offset, size)
         if stamps is None:

@@ -141,20 +141,23 @@ class Machine:
         """
         if region.kind is MemKind.HBM:
             raise ValueError("HBM is not host memory; io writes target DRAM or PM")
+        return self._arrival(region, np.array(starts, dtype=np.int64, ndmin=1).tolist(),
+                             np.array(lengths, dtype=np.int64, ndmin=1).tolist())
+
+    def _arrival(self, region: Region, starts: list[int], lengths: list[int]) -> float:
+        """:meth:`io_write_arrival` over segments given as lists of Python ints."""
         if region.kind is MemKind.DRAM:
-            total = int(np.sum(np.atleast_1d(np.asarray(lengths, dtype=np.int64))))
-            self.events.emit(DramWrite(nbytes=total, source="gpu"))
+            self.events.emit(DramWrite(nbytes=sum(lengths), source="gpu"))
             return 0.0
         if self.persistency.adaptive:
             routed = self.persistency.route_io_write(self, region, starts, lengths)
             if routed is not None:
                 return routed
         if self.ddio_enabled:
-            self.llc.install_writes(region, starts, lengths)
+            self.llc.install_runs(region, starts, lengths)
             return 0.0
         time = self.optane.write_epoch(region, starts, lengths)
-        total = int(np.sum(np.atleast_1d(np.asarray(lengths, dtype=np.int64))))
-        self.events.emit(GpuPmWrite(nbytes=total))
+        self.events.emit(GpuPmWrite(nbytes=sum(lengths)))
         return time
 
     def io_write_arrival_groups(self, region: Region, run_starts, run_lengths,
@@ -167,9 +170,10 @@ class Machine:
         warp of a bulk scatter.  Emits the same events in the same order
         as ``n_groups`` sequential :meth:`io_write_arrival` calls and
         returns the per-group media seconds.  DDIO-off PM arrivals drain
-        as one vectorized :meth:`OptaneModel.write_epochs` call; every
-        other route (DRAM, DDIO-on LLC installs, adaptive routing, empty or
-        zero-length runs) takes the per-group primitive.
+        as one vectorized :meth:`OptaneModel.write_epochs` call.  Every
+        other group - LLC installs with DDIO on, adaptive routing, DRAM,
+        empty or zero-length runs - arrives from slices of the runs
+        converted to Python lists once per call.
         ``before_group(group)``, when given, fires before each group's
         events, letting the caller keep its own per-arrival events
         interleaved as sequential calls would.
@@ -184,15 +188,16 @@ class Machine:
                                             run_groups, n_groups,
                                             arrival_event=GpuPmWrite,
                                             before_group=before_group)
-        times = np.zeros(n_groups)
         bounds = bounds.tolist()
+        starts, lengths = run_starts.tolist(), run_lengths.tolist()
+        arrival = self._arrival
+        times = []
         for g in range(n_groups):
             if before_group is not None:
                 before_group(g)
             lo, hi = bounds[g], bounds[g + 1]
-            times[g] = self.io_write_arrival(region, run_starts[lo:hi],
-                                             run_lengths[lo:hi])
-        return times
+            times.append(arrival(region, starts[lo:hi], lengths[lo:hi]))
+        return np.array(times, dtype=np.float64)
 
     def cpu_store_arrival(self, region: Region, offset: int, size: int) -> None:
         """CPU stores to host memory dirty LLC lines (for PM regions)."""

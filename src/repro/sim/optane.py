@@ -126,6 +126,20 @@ class OptaneModel:
         self._last_line = None
         self._last_region = None
 
+    def _random_starts(self, region: Region, first_lines: np.ndarray,
+                       last_lines: np.ndarray) -> np.ndarray:
+        """Which runs start off the stream, as a boolean array.
+
+        A run is sequential iff its first XPLine is the same as, or
+        immediately follows, the line written just before it: the previous
+        run's last line, or the stream's last line for the first run.
+        """
+        prev_last = np.empty(first_lines.size, dtype=np.int64)
+        same_stream = self._last_region == region.token and self._last_line is not None
+        prev_last[0] = self._last_line if same_stream else -(10**9)
+        prev_last[1:] = last_lines[:-1]
+        return (first_lines != prev_last) & (first_lines != prev_last + 1)
+
     # ------------------------------------------------------------------
 
     def write_epoch(self, region: Region, starts, lengths) -> float:
@@ -151,17 +165,10 @@ class OptaneModel:
         last_lines = (run_starts + run_lengths - 1) // self._line
         touches = last_lines - first_lines + 1
 
-        # Sequentiality: the first line of each run is sequential iff it is
-        # the same as, or immediately follows, the previously written line.
-        prev_last = np.empty(run_starts.size, dtype=np.int64)
-        same_stream = self._last_region == region.token and self._last_line is not None
-        prev_last[0] = self._last_line if same_stream else -(10**9)
-        prev_last[1:] = last_lines[:-1]
-        seq_start = (first_lines == prev_last) | (first_lines == prev_last + 1)
-
         # Every touch costs one full XPLine of media time; the first touch of
         # a non-sequential run additionally pays the random-access penalty.
-        random_starts = int(np.count_nonzero(~seq_start))
+        random_starts = int(np.count_nonzero(
+            self._random_starts(region, first_lines, last_lines)))
         total_touches = int(touches.sum())
         time = (
             total_touches + random_starts * (self._config.pm_random_penalty - 1.0)
@@ -211,12 +218,7 @@ class OptaneModel:
         # One global chain: group g's first run compares against group
         # g-1's last written line - exactly the stream state sequential
         # write_epoch calls would carry over (all groups share ``region``).
-        prev_last = np.empty(run_starts.size, dtype=np.int64)
-        same_stream = self._last_region == region.token and self._last_line is not None
-        prev_last[0] = self._last_line if same_stream else -(10**9)
-        prev_last[1:] = last_lines[:-1]
-        seq_start = (first_lines == prev_last) | (first_lines == prev_last + 1)
-        random_runs = (~seq_start).astype(np.int64)
+        random_runs = self._random_starts(region, first_lines, last_lines).astype(np.int64)
         touches_g = np.bincount(run_groups, weights=touches,
                                 minlength=n_groups).astype(np.int64)
         random_g = np.bincount(run_groups, weights=random_runs,
@@ -262,6 +264,29 @@ class OptaneModel:
                 emit(arrival_event(nbytes=logical_l[g]))
         return times
 
+    def line_epochs(self, region: Region, starts: np.ndarray, sizes: np.ndarray):
+        """Yield the :class:`OptaneEpoch` of each line of a one-line-per-epoch drain.
+
+        ``starts``/``sizes`` are positive, non-overlapping cache lines of
+        ``region`` in drain order.  The cost arithmetic is
+        :meth:`write_epochs`' with one run per group, in one numpy pass.
+        Taking the k-th epoch moves the stream to line k; the caller must
+        persist that line and then emit the epoch before taking the next,
+        as the LLC's write-back drain does.
+        """
+        first_lines = starts // self._line
+        last_lines = (starts + sizes - 1) // self._line
+        touches = last_lines - first_lines + 1
+        random = self._random_starts(region, first_lines, last_lines).astype(np.int64)
+        times = (touches + random * (self._config.pm_random_penalty - 1.0)) * self._line_time
+        name = region.name
+        self._last_region = region.token
+        for last, size, media, rnd, time in zip(
+                last_lines.tolist(), sizes.tolist(), (touches * self._line).tolist(),
+                random.tolist(), times.tolist()):
+            self._last_line = last
+            yield OptaneEpoch(name, size, media, 1, rnd, time)
+
     def write_flush_grain(self, region: Region, offset: int, size: int,
                           grain: int = 64, random: bool = False) -> float:
         """Drain ``[offset, offset+size)`` as back-to-back ``grain``-byte epochs.
@@ -296,11 +321,12 @@ class OptaneModel:
         return time
 
     def flush_lines(self, region: Region, line_starts, line_size: int) -> float:
-        """Drain a set of dirty cache lines, each as its own epoch.
+        """Drain a set of dirty cache lines as one ``line_drain`` epoch.
 
-        Used by the LLC write-back paths.  Sequentiality is judged between
-        consecutive flushes in sorted address order; isolated lines pay the
-        random penalty.  Returns media seconds.
+        Used by the LLC's range flushes.  The epoch charges one full XPLine
+        touch per line, however many lines share an XPLine.  Sequentiality
+        is judged between consecutive lines in sorted address order;
+        isolated lines pay the random penalty.  Returns media seconds.
         """
         line_starts = np.sort(np.asarray(line_starts, dtype=np.int64))
         if line_starts.size == 0:
@@ -308,12 +334,7 @@ class OptaneModel:
         lengths = np.minimum(line_size, region.size - line_starts)
         region.persist_ranges(line_starts, lengths)
         xlines = line_starts // self._line
-        prev = np.empty(xlines.size, dtype=np.int64)
-        same_stream = self._last_region == region.token and self._last_line is not None
-        prev[0] = self._last_line if same_stream else -(10**9)
-        prev[1:] = xlines[:-1]
-        seq = (xlines == prev) | (xlines == prev + 1)
-        n_random = int(np.count_nonzero(~seq))
+        n_random = int(np.count_nonzero(self._random_starts(region, xlines, xlines)))
         touches = line_starts.size
         time = (touches + n_random * (self._config.pm_random_penalty - 1.0)) * self._line_time
         self._last_line = int(xlines[-1])

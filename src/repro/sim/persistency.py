@@ -63,11 +63,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import numpy as np
+from operator import add
 
 from .events import GpuPmWrite, WarpDrain
-from .memory import MemKind
 
 #: Cost of the privileged I/O-register write that flips DDIO (the paper's
 #: ``perfctrlsts_0`` write); charged by models whose windows toggle DDIO.
@@ -220,8 +218,12 @@ class PersistencyModel:
     # -- data path ---------------------------------------------------------
 
     def route_io_write(self, machine, region, starts, lengths):
-        """Route one inbound PM write batch; ``None`` means the default
-        DDIO-governed path (only adaptive models override this)."""
+        """Route one inbound write group to a PM region; ``None`` means the
+        default DDIO-governed path (only adaptive models override this).
+
+        ``starts``/``lengths`` are lists of Python ints.  Returns the media
+        seconds the group cost.
+        """
         return None
 
     def describe(self) -> str:
@@ -346,42 +348,36 @@ class AdaptivePath(PersistencyModel):
 
     # -- data path ---------------------------------------------------------
 
-    def select_write_path(self, region, starts, lengths) -> str:
-        """``"direct"`` or ``"staged"`` for one write batch."""
+    def route_io_write(self, machine, region, starts, lengths):
+        """Stage one write group in the LLC or write it direct to the media.
+
+        The path follows the observed access pattern: the EMA of warp-drain
+        segment sizes, or this group's own mean segment size before any
+        drain was seen.  Staged groups widen the region's staged range.
+        """
+        if self._window_depth <= 0:
+            return None
         signal = self._ema_segment_bytes
         if signal is None:
-            lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
-            signal = float(lengths.sum()) / max(1, lengths.size)
-        return "direct" if signal >= self._threshold else "staged"
-
-    def route_io_write(self, machine, region, starts, lengths):
-        if self._window_depth <= 0 or region.kind is not MemKind.PM:
-            return None
-        if self.select_write_path(region, starts, lengths) == "staged":
-            machine.llc.install_writes(region, starts, lengths)
-            self._note_staged(region, starts, lengths)
+            signal = float(sum(lengths)) / max(1, len(lengths))
+        if signal < self._threshold:
+            machine.llc.install_runs(region, starts, lengths)
+            if starts:
+                lo = min(starts)
+                hi = max(map(add, starts, lengths))
+                entry = self._staged.get(region.token)
+                if entry is None:
+                    self._staged[region.token] = [region, lo, hi]
+                else:
+                    entry[1] = min(entry[1], lo)
+                    entry[2] = max(entry[2], hi)
             return 0.0
         # Direct path: the region's staged backlog must hit the media first
         # (writes to one region persist in issue order under this model).
         time = self._flush_staged(machine, region.token)
         time += machine.optane.write_epoch(region, starts, lengths)
-        total = int(np.sum(np.atleast_1d(np.asarray(lengths, dtype=np.int64))))
-        machine.events.emit(GpuPmWrite(nbytes=total))
+        machine.events.emit(GpuPmWrite(nbytes=sum(lengths)))
         return time
-
-    def _note_staged(self, region, starts, lengths) -> None:
-        starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-        lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
-        if starts.size == 0:
-            return
-        lo = int(starts.min())
-        hi = int((starts + lengths).max())
-        entry = self._staged.get(region.token)
-        if entry is None:
-            self._staged[region.token] = [region, lo, hi]
-        else:
-            entry[1] = min(entry[1], lo)
-            entry[2] = max(entry[2], hi)
 
     def _flush_staged(self, machine, token: int) -> float:
         entry = self._staged.pop(token, None)

@@ -38,17 +38,23 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n, f, oh, ow) + b.reshape(1, f, 1, 1)
 
 
-def _conv2d_grads(x, w, dout):
-    """Gradients of _conv2d w.r.t. w, b and x."""
-    n, c, h, wid = x.shape
-    f, _, k, _ = w.shape
-    oh, ow = dout.shape[2], dout.shape[3]
-    cols = _im2col(x, k)
+def _conv2d_param_grads(x, w, dout):
+    """Gradients of _conv2d w.r.t. w and b."""
+    n, f = dout.shape[:2]
+    cols = _im2col(x, w.shape[2])
     dflat = dout.reshape(n, f, -1)
     dw = np.tensordot(dflat, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
     db = dout.sum(axis=(0, 2, 3))
+    return dw, db
+
+
+def _conv2d_input_grad(x, w, dout):
+    """Gradient of _conv2d w.r.t. x."""
+    n, c = x.shape[:2]
+    f, _, k, _ = w.shape
+    oh, ow = dout.shape[2], dout.shape[3]
     # dcols[n] = w_flat.T @ dflat[n], batched over n.
-    dcols = np.matmul(w.reshape(f, -1).T, dflat)
+    dcols = np.matmul(w.reshape(f, -1).T, dout.reshape(n, f, -1))
     dx = np.zeros_like(x)
     idx = 0
     for ci in range(c):
@@ -56,7 +62,7 @@ def _conv2d_grads(x, w, dout):
             for kj in range(k):
                 dx[:, ci, ki : ki + oh, kj : kj + ow] += dcols[:, idx, :].reshape(n, oh, ow)
                 idx += 1
-    return dw, db, dx
+    return dx
 
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:
@@ -210,10 +216,12 @@ class LeNet:
         dp2 = dflat.reshape(cache["p2"].shape)
         dr2 = _avgpool2_grad(dp2)
         dr2[cache["c2"] <= 0] = 0.0
-        dconv2_w, dconv2_b, dp1 = _conv2d_grads(cache["p1"], p.conv2_w, dr2)
+        dconv2_w, dconv2_b = _conv2d_param_grads(cache["p1"], p.conv2_w, dr2)
+        dp1 = _conv2d_input_grad(cache["p1"], p.conv2_w, dr2)
         dr1 = _avgpool2_grad(dp1)
         dr1[cache["c1"] <= 0] = 0.0
-        dconv1_w, dconv1_b, _ = _conv2d_grads(cache["x"], p.conv1_w, dr1)
+        # The input image needs no gradient.
+        dconv1_w, dconv1_b = _conv2d_param_grads(cache["x"], p.conv1_w, dr1)
 
         for t, g in [
             (p.conv1_w, dconv1_w), (p.conv1_b, dconv1_b),

@@ -225,13 +225,13 @@ class ReferenceLlc:
     def install_writes(self, region, starts, lengths):
         if region.kind is not MemKind.PM:
             return
-        starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-        lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
-        if int(lengths.sum()) > 2 * self._capacity_lines * self._line:
+        starts = np.atleast_1d(np.asarray(starts, dtype=np.int64)).tolist()
+        lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64)).tolist()
+        if sum(lengths) > 2 * self._capacity_lines * self._line:
             starts, lengths = LastLevelCache._persist_all_but_tail(
                 self, region, starts, lengths, self._capacity_lines * self._line)
         hits = fills = 0
-        for start, length in zip(starts.tolist(), lengths.tolist()):
+        for start, length in zip(starts, lengths):
             if length <= 0:
                 continue
             for line in range(start // self._line, (start + length - 1) // self._line + 1):

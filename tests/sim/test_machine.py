@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim import Machine, MemKind
+from repro.sim import CrashInjector, Machine, MemKind, SimulatedCrash, SystemConfig
+from repro.sim.events import OptaneEpoch, WarpDrain
 
 
 class TestAllocation:
@@ -83,6 +84,84 @@ def _route_machine(route):
     return machine, region, log
 
 
+#: Eight groups of two runs over a 4 KiB region, three or four cache lines
+#: each; group 5 rewrites group 4's lines.  An 8-line DDIO window overflows
+#: from the third group on.
+BURST_RUNS = (
+    [32, 256, 544, 800, 1056, 1312, 1568, 1824, 2080, 2336, 2080, 2336,
+     3104, 3360, 3616, 3872],
+    [96, 64] * 8,
+    [g for g in range(8) for _ in range(2)],
+)
+
+
+def _small_llc_rig(persistency=None, llc_lines=8):
+    cfg = SystemConfig().with_overrides(llc_ddio_bytes=llc_lines * 64)
+    machine = Machine(cfg, persistency=persistency)
+    if persistency == "adaptive":
+        machine.persistency.window_begin(machine)
+    region = machine.alloc_pm("r", 4096)
+    region.write_bytes(0, np.arange(4096) % 251)
+    log = []
+    machine.events.subscribe(lambda ts, ev: log.append((ts, repr(ev))))
+    return machine, region, log
+
+
+def _rig_state(machine, region, log):
+    optane = machine.optane
+    return (log, machine.llc.dirty_lines(region), len(machine.llc),
+            region.persisted.tobytes(), region.visible.tobytes(),
+            optane._last_line, optane._last_region == region.token)
+
+
+def _grouped_and_sequential(make_rig, runs, before, arm=None):
+    """Run ``runs`` as one grouped call and as sequential calls.
+
+    ``before(machine, log, group)`` runs ahead of each group on both
+    sides; ``arm(machine)``, when given, arms a crash before the call.
+    Returns both sides' ``(times, last group begun, state)``; ``times`` is
+    ``None`` when the call crashed.
+    """
+    starts, lengths, groups = (np.asarray(a, dtype=np.int64) for a in runs)
+    n_groups = int(groups.max()) + 1
+    sides = []
+    for grouped in (True, False):
+        machine, region, log = make_rig()
+        if arm is not None:
+            arm(machine)
+        times, seen = None, []
+
+        def hook(g, machine=machine, log=log, seen=seen):
+            seen.append(g)
+            before(machine, log, g)
+
+        try:
+            if grouped:
+                times = machine.io_write_arrival_groups(
+                    region, starts, lengths, groups, n_groups, before_group=hook)
+                times = times.tolist()
+            else:
+                times = []
+                for g in range(n_groups):
+                    hook(g)
+                    mine = groups == g
+                    times.append(machine.io_write_arrival(region, starts[mine],
+                                                          lengths[mine]))
+        except SimulatedCrash:
+            times = None  # a crashed call returns nothing
+        sides.append((times, seen[-1], _rig_state(machine, region, log)))
+    return sides
+
+
+def _is(entry, event_name):
+    return entry[0] != "group" and entry[1].startswith(event_name + "(")
+
+
+def _mark_group(machine, log, g):
+    log.append(("group", g))
+    machine.clock.advance(1e-6)
+
+
 class TestGroupedArrivals:
     @pytest.mark.parametrize("route", GROUP_ROUTES)
     def test_matches_sequential_arrivals(self, route):
@@ -116,6 +195,57 @@ class TestGroupedArrivals:
             machine.io_write_arrival_groups(r, [0], [64], [0], 1,
                                             before_group=seen.append)
         assert seen == []
+
+    def test_capacity_overflow_between_groups(self):
+        got, ref = _grouped_and_sequential(_small_llc_rig, BURST_RUNS, _mark_group)
+        assert got == ref
+        log = got[2][0]
+        evict = next(i for i, e in enumerate(log) if _is(e, "LlcEvict"))
+        later = [e for e in log[evict:] if e[0] == "group"]
+        assert later, "the eviction burst must land between two groups"
+        assert any(_is(e, "LlcInstall") for e in log[log.index(later[0]):])
+
+    def test_adaptive_paths_interleave(self):
+        # Mean warp-drain segment sizes observed before each group: the EMA
+        # crosses the 256 B XPLine threshold both ways inside the call.
+        observed = [[8], [4096], [8] * 6, [2048], [8] * 8, [8], [4096], [8] * 8]
+
+        def drains(machine, log, g):
+            _mark_group(machine, log, g)
+            for nbytes in observed[g]:
+                machine.events.emit(WarpDrain(region="r", segments=1, nbytes=nbytes))
+
+        got, ref = _grouped_and_sequential(
+            lambda: _small_llc_rig("adaptive", llc_lines=64), BURST_RUNS, drains)
+        assert got == ref
+        times, _, (log, dirty, *_rest) = got
+        assert [t > 0 for t in times] == [False, True, False, True,
+                                          False, False, True, False]
+        # Every staged line before the last direct group was flushed; only
+        # the last group's lines are still dirty.
+        assert dirty == [56, 57, 60, 61]
+        # The direct group after a staged one flushes the backlog first.
+        marks = [i for i, e in enumerate(log) if e[0] == "group"]
+        direct = log[marks[1]:marks[2]]
+        flush = next(i for i, e in enumerate(direct) if _is(e, "LlcFlush"))
+        write = next(i for i, e in enumerate(direct) if _is(e, "GpuPmWrite"))
+        assert flush < write
+
+    def test_eadr_crash_at_each_eviction_epoch(self):
+        machine, region, log = _small_llc_rig("eadr")
+        frontiers = []
+        machine.events.subscribe(lambda ts, ev: frontiers.append(type(ev))
+                                 if type(ev).frontier_kind else None)
+        starts, lengths, groups = (np.asarray(a, dtype=np.int64) for a in BURST_RUNS)
+        machine.io_write_arrival_groups(region, starts, lengths, groups, 8)
+        epochs = [i for i, kind in enumerate(frontiers) if kind is OptaneEpoch]
+        assert len(epochs) > 8
+        for ordinal in epochs:
+            got, ref = _grouped_and_sequential(
+                lambda: _small_llc_rig("eadr"), BURST_RUNS, _mark_group,
+                arm=lambda m: CrashInjector(m).arm_at_frontier(ordinal))
+            assert got[0] is None, "the crash must fire inside the call"
+            assert got == ref
 
 
 class TestCpuPaths:
