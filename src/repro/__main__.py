@@ -245,6 +245,9 @@ def _cmd_check(args) -> int:
         if getattr(args, flag) < 0:
             raise SystemExit(f"check: --{flag.replace('_', '-')} must be "
                              f">= 0, got {getattr(args, flag)}")
+    if args.window_samples < 1:
+        raise SystemExit(f"check: --window-samples must be >= 1, "
+                         f"got {args.window_samples}")
     try:
         frontier = parse_frontier(args.frontier) if args.frontier else None
     except ValueError as exc:

@@ -329,11 +329,14 @@ class HclLog:
 
     # -- host API (recovery tooling / verification) ---------------------------
 
-    def host_tail(self, slot: int, persisted: bool = True) -> int:
-        view = (self.gpm.persisted_view if persisted else self.gpm.view)(
+    def host_tails(self, persisted: bool = True) -> np.ndarray:
+        """Every thread slot's tail (in chunks), as one uint32 view."""
+        return (self.gpm.persisted_view if persisted else self.gpm.view)(
             np.uint32, self.tails_offset, self.total_threads
         )
-        return int(view[slot])
+
+    def host_tail(self, slot: int, persisted: bool = True) -> int:
+        return int(self.host_tails(persisted)[slot])
 
     def host_read_entry(self, slot: int, entry_bytes: int, index: int = -1,
                         persisted: bool = True) -> np.ndarray:

@@ -48,11 +48,11 @@ def classify_file(system, pm_file: PmFile) -> FileReport:
     gpm = GpmRegion(system, pm_file)
     if magic == HCL_MAGIC:
         log = HclLog(gpm)
-        tails = [log.host_tail(s) for s in range(log.total_threads)]
+        tails = log.host_tails()
         return FileReport(pm_file.path, pm_file.size, "hcl-log", {
             "geometry": f"{log.blocks}x{log.threads_per_block}",
-            "threads_with_entries": sum(1 for t in tails if t),
-            "total_chunks": sum(tails),
+            "threads_with_entries": int(np.count_nonzero(tails)),
+            "total_chunks": int(tails.sum(dtype=np.int64)),
             "striped": log.striped,
         })
     if magic == CONV_MAGIC:

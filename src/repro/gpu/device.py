@@ -50,7 +50,7 @@ from ..sim.events import (
 )
 from ..sim.machine import Machine
 from ..sim.memory import MemKind, Region
-from ..sim.optane import merge_segments_grouped
+from ..sim.optane import merge_segment_lists, merge_segments_grouped
 from ..sim.persistency import active_mutant
 from .hierarchy import Dim3, ThreadId, warps_in_grid
 from .kernel import (
@@ -67,6 +67,11 @@ from .warp import WarpContext, resolve_warp_impl
 class _BlockEngine:
     """Shared machinery between the threads of one launch."""
 
+    #: Region runs of up to this many queued segments are delivered from
+    #: Python ints, larger ones through numpy (see
+    #: ``benchmarks/test_drain_small.py``).
+    LIST_DRAIN_SEGMENTS = 64
+
     def __init__(self, machine: Machine, acct: LaunchAccounting,
                  defer: bool = False) -> None:
         self.machine = machine
@@ -76,7 +81,8 @@ class _BlockEngine:
         #: the next barrier/finish.  Without ``defer`` (a crash injector is
         #: supplied, armed or not) the queue drains right after every
         #: append, so each warp round reaches the machine, and can be
-        #: crashed at, on its own.
+        #: crashed at, on its own; such a one-round run is usually within
+        #: :attr:`LIST_DRAIN_SEGMENTS` and is delivered from Python ints.
         #: Events, accounting and the persisted image are identical either
         #: way; only the crash frontiers between drains differ.
         self.defer = defer
@@ -207,23 +213,22 @@ class _BlockEngine:
         self._epoch_dirty = False
 
     def _drain_queue(self) -> None:
-        """Deliver the queued warp-round drains, one machine call per region run.
+        """Deliver the queued warp-round drains, one route per region run.
 
-        Consecutive same-region queue entries become the groups of one
-        :func:`merge_segments_grouped` pass and one
-        :meth:`Machine.io_write_arrival_groups` call, which alone decides
-        each group's route.  Its ``before_group`` hook emits the group's
-        :class:`WarpDrain` and then charges its PCIe bytes and transactions,
-        so a crash fired on the drain event leaves that drain uncharged;
-        media time is charged once the call returns.
+        Consecutive same-region queue entries form a region run, one group
+        per entry.  A run of at most :attr:`LIST_DRAIN_SEGMENTS` queued
+        segments - an eager drain of one warp round, typically - is merged,
+        counted and delivered from Python ints (:meth:`_deliver_lists`);
+        larger runs take the vectorized route (:meth:`_deliver_arrays`).
+        Both emit each group's :class:`WarpDrain` and then charge its PCIe
+        bytes and transactions before the group arrives, so a crash fired
+        on the drain event leaves that drain uncharged; media time is
+        charged once the whole run has arrived.
         """
         queue = self._queue
         if not queue:
             return
         self._queue = []
-        acct = self.acct
-        emit = self.machine.events.emit
-        tx_bytes = self.machine.config.pcie_tx_bytes
         i, n = 0, len(queue)
         while i < n:
             region = queue[i][0]
@@ -232,49 +237,97 @@ class _BlockEngine:
                 j += 1
             entries = queue[i:j]
             i = j
-            n_groups = len(entries)
-            # One flat start/length array per region run.  The scalar lane
-            # buffers lists of ints, the warp lane lists of numpy batches;
-            # a launch runs one lane, so the first entry tells the kind.
-            if isinstance(entries[0][1][0], np.ndarray):
-                batches = [b for e in entries for b in e[1]]
-                flat_s = np.concatenate(batches)
-                flat_l = np.concatenate([b for e in entries for b in e[2]])
-                owner = [g for g, e in enumerate(entries) for _b in e[1]]
-                sizes = [b.size for b in batches]
+            # The scalar lane buffers lists of ints, the warp lane lists of
+            # numpy batches; a launch runs one lane, so the first entry
+            # tells the kind.
+            warp_lane = isinstance(entries[0][1][0], np.ndarray)
+            if warp_lane:
+                segments = sum(b.size for e in entries for b in e[1])
             else:
-                flat_s = np.array([x for e in entries for x in e[1]], dtype=np.int64)
-                flat_l = np.array([x for e in entries for x in e[2]], dtype=np.int64)
-                owner = range(n_groups)
-                sizes = [len(e[1]) for e in entries]
-            run_s, run_l, run_g = merge_segments_grouped(
-                flat_s, flat_l, np.repeat(owner, sizes), region.size + 1)
-            bounds = run_g.searchsorted(np.arange(n_groups + 1)).tolist()
-            nbytes_l = np.bincount(run_g, weights=run_l,
-                                   minlength=n_groups).astype(np.int64).tolist()
+                segments = sum(len(e[1]) for e in entries)
+            if segments <= self.LIST_DRAIN_SEGMENTS:
+                self._deliver_lists(region, entries, warp_lane)
+            else:
+                self._deliver_arrays(region, entries, warp_lane)
+
+    def _deliver_lists(self, region: Region, entries: list, warp_lane: bool) -> None:
+        """One region run, merged and delivered group by group on Python ints."""
+        acct = self.acct
+        emit = self.machine.events.emit
+        arrival = self.machine._arrival
+        tx_bytes = self.machine.config.pcie_tx_bytes
+        name = region.name
+        times = []
+        for _region, starts, lengths, round_no in entries:
+            if warp_lane:
+                starts = [x for b in starts for x in b.tolist()]
+                lengths = [x for b in lengths for x in b.tolist()]
+            run_s, run_l = merge_segment_lists(starts, lengths)
+            nbytes = sum(run_l)
             # 128 B spans per run; a zero-length run carries no transaction.
-            spans = ((run_s + run_l - 1) // tx_bytes - run_s // tx_bytes + 1) * (run_l > 0)
-            tx_l = np.bincount(run_g, weights=spans,
+            tx = sum([(s + l - 1) // tx_bytes - s // tx_bytes + 1
+                      for s, l in zip(run_s, run_l) if l])
+            emit(WarpDrain(
+                region=name,
+                round_no=-1 if round_no == _IMPLICIT_ROUND else round_no,
+                segments=len(run_s), nbytes=nbytes,
+                starts=np.array(run_s, dtype=np.int64),
+                lengths=np.array(run_l, dtype=np.int64),
+            ))
+            acct.host_write_bytes += nbytes
+            acct.host_write_tx += tx
+            times.append(arrival(region, run_s, run_l))
+        for t in times:
+            acct.pm_media_time += t
+
+    def _deliver_arrays(self, region: Region, entries: list, warp_lane: bool) -> None:
+        """One region run: one :func:`merge_segments_grouped` pass and one
+        :meth:`Machine.io_write_arrival_groups` call, which alone decides
+        each group's route."""
+        acct = self.acct
+        emit = self.machine.events.emit
+        tx_bytes = self.machine.config.pcie_tx_bytes
+        n_groups = len(entries)
+        # One flat start/length array per region run.
+        if warp_lane:
+            batches = [b for e in entries for b in e[1]]
+            flat_s = np.concatenate(batches)
+            flat_l = np.concatenate([b for e in entries for b in e[2]])
+            owner = [g for g, e in enumerate(entries) for _b in e[1]]
+            sizes = [b.size for b in batches]
+        else:
+            flat_s = np.array([x for e in entries for x in e[1]], dtype=np.int64)
+            flat_l = np.array([x for e in entries for x in e[2]], dtype=np.int64)
+            owner = range(n_groups)
+            sizes = [len(e[1]) for e in entries]
+        run_s, run_l, run_g = merge_segments_grouped(
+            flat_s, flat_l, np.repeat(owner, sizes), region.size + 1)
+        bounds = run_g.searchsorted(np.arange(n_groups + 1)).tolist()
+        nbytes_l = np.bincount(run_g, weights=run_l,
                                minlength=n_groups).astype(np.int64).tolist()
+        # 128 B spans per run; a zero-length run carries no transaction.
+        spans = ((run_s + run_l - 1) // tx_bytes - run_s // tx_bytes + 1) * (run_l > 0)
+        tx_l = np.bincount(run_g, weights=spans,
+                           minlength=n_groups).astype(np.int64).tolist()
 
-            name = region.name
+        name = region.name
 
-            def _drain(g):
-                lo, hi = bounds[g], bounds[g + 1]
-                round_no = entries[g][3]
-                emit(WarpDrain(
-                    region=name,
-                    round_no=-1 if round_no == _IMPLICIT_ROUND else round_no,
-                    segments=hi - lo, nbytes=nbytes_l[g],
-                    starts=run_s[lo:hi], lengths=run_l[lo:hi],
-                ))
-                acct.host_write_bytes += nbytes_l[g]
-                acct.host_write_tx += tx_l[g]
+        def _drain(g):
+            lo, hi = bounds[g], bounds[g + 1]
+            round_no = entries[g][3]
+            emit(WarpDrain(
+                region=name,
+                round_no=-1 if round_no == _IMPLICIT_ROUND else round_no,
+                segments=hi - lo, nbytes=nbytes_l[g],
+                starts=run_s[lo:hi], lengths=run_l[lo:hi],
+            ))
+            acct.host_write_bytes += nbytes_l[g]
+            acct.host_write_tx += tx_l[g]
 
-            times = self.machine.io_write_arrival_groups(
-                region, run_s, run_l, run_g, n_groups, before_group=_drain)
-            for t in times.tolist():
-                acct.pm_media_time += t
+        times = self.machine.io_write_arrival_groups(
+            region, run_s, run_l, run_g, n_groups, before_group=_drain)
+        for t in times.tolist():
+            acct.pm_media_time += t
 
     def finish(self) -> None:
         # Round and warp tallies first: a crash fired by the events below
@@ -574,7 +627,7 @@ class Gpu:
             else:
                 # device -> host streaming write
                 pcie_t = self.machine.pcie.stream_write_time(nbytes)
-                media_t = self.machine.io_write_arrival(dst, [dst_off], [nbytes])
+                media_t = self.machine.io_write_range(dst, dst_off, nbytes)
                 elapsed += max(pcie_t, media_t, nbytes / cfg.gpu_hbm_bw)
                 if persist:
                     self.machine.events.emit(SystemFence())
@@ -689,7 +742,7 @@ class Gpu:
         arr = np.asarray(value, dtype=dtype)
         raw = np.frombuffer(arr.tobytes(), dtype=np.uint8)
         region.write_bytes(offset, raw)
-        media = self.machine.io_write_arrival(region, [offset], [len(raw)])
+        media = self.machine.io_write_range(region, offset, len(raw))
         self.machine.events.emit(SystemFence())
         self.machine.events.emit(PcieWrite(nbytes=len(raw), transactions=1))
         elapsed = self.machine.config.pcie_rtt_s + media

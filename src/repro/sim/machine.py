@@ -144,6 +144,12 @@ class Machine:
         return self._arrival(region, np.array(starts, dtype=np.int64, ndmin=1).tolist(),
                              np.array(lengths, dtype=np.int64, ndmin=1).tolist())
 
+    def io_write_range(self, region: Region, offset: int, size: int) -> float:
+        """:meth:`io_write_arrival` of the one segment ``[offset, offset+size)``."""
+        if region.kind is MemKind.HBM:
+            raise ValueError("HBM is not host memory; io writes target DRAM or PM")
+        return self._arrival(region, [int(offset)], [int(size)])
+
     def _arrival(self, region: Region, starts: list[int], lengths: list[int]) -> float:
         """:meth:`io_write_arrival` over segments given as lists of Python ints."""
         if region.kind is MemKind.DRAM:
@@ -215,13 +221,13 @@ class Machine:
 
     def cpu_nt_store_arrival(self, region: Region, starts, lengths) -> float:
         """Non-temporal stores bypass the cache straight to the media."""
+        starts = np.array(starts, dtype=np.int64, ndmin=1).tolist()
+        lengths = np.array(lengths, dtype=np.int64, ndmin=1).tolist()
         if region.kind is not MemKind.PM:
-            total = int(np.sum(np.atleast_1d(np.asarray(lengths, dtype=np.int64))))
-            self.events.emit(DramWrite(nbytes=total, source="cpu"))
+            self.events.emit(DramWrite(nbytes=sum(lengths), source="cpu"))
             return 0.0
         time = self.optane.write_epoch(region, starts, lengths)
-        total = int(np.sum(np.atleast_1d(np.asarray(lengths, dtype=np.int64))))
-        self.events.emit(CpuPmWrite(nbytes=total))
+        self.events.emit(CpuPmWrite(nbytes=sum(lengths)))
         return time
 
     def background_persist(self, region: Region, offset: int, size: int) -> None:

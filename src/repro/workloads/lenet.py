@@ -15,6 +15,7 @@ is not available offline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,6 +143,32 @@ class LeNetParams:
             pos += t.size
 
 
+@lru_cache(maxsize=4)
+def _initial_tensors(hidden: int, seed: int) -> tuple[np.ndarray, ...]:
+    """LeNet's initial parameters in :meth:`LeNetParams.tensors` order.
+
+    Drawing them costs ~800k normals, and one crash sweep builds the same
+    network many times, so each ``(hidden, seed)`` is drawn once; the
+    arrays are read-only and every :class:`LeNet` copies them.
+    """
+    rng = np.random.default_rng(seed)
+
+    def init(*shape):
+        fan_in = int(np.prod(shape[1:])) or shape[0]
+        return (rng.normal(0, 1.0 / np.sqrt(fan_in), size=shape)).astype(np.float32)
+
+    # 32x32 -> conv5 -> 28x28 -> pool -> 14x14 -> conv3 -> 12x12 -> pool -> 6x6
+    tensors = (
+        init(8, 1, 5, 5), np.zeros(8, dtype=np.float32),
+        init(16, 8, 3, 3), np.zeros(16, dtype=np.float32),
+        init(hidden, 16 * 6 * 6), np.zeros(hidden, dtype=np.float32),
+        init(10, hidden), np.zeros(10, dtype=np.float32),
+    )
+    for t in tensors:
+        t.flags.writeable = False
+    return tensors
+
+
 class LeNet:
     """The network: conv(8)+pool -> conv(16)+pool -> fc -> fc -> softmax."""
 
@@ -149,19 +176,7 @@ class LeNet:
     IMAGE_SIZE = 32
 
     def __init__(self, hidden: int = 1400, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-
-        def init(*shape):
-            fan_in = int(np.prod(shape[1:])) or shape[0]
-            return (rng.normal(0, 1.0 / np.sqrt(fan_in), size=shape)).astype(np.float32)
-
-        # 32x32 -> conv5 -> 28x28 -> pool -> 14x14 -> conv3 -> 12x12 -> pool -> 6x6
-        self.params = LeNetParams(
-            conv1_w=init(8, 1, 5, 5), conv1_b=np.zeros(8, dtype=np.float32),
-            conv2_w=init(16, 8, 3, 3), conv2_b=np.zeros(16, dtype=np.float32),
-            fc1_w=init(hidden, 16 * 6 * 6), fc1_b=np.zeros(hidden, dtype=np.float32),
-            fc2_w=init(10, hidden), fc2_b=np.zeros(10, dtype=np.float32),
-        )
+        self.params = LeNetParams(*(t.copy() for t in _initial_tensors(hidden, seed)))
 
     # -- flop accounting (drives the simulated GPU compute time) -----------
 

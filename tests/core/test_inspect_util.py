@@ -35,6 +35,10 @@ class TestInspector:
         assert report.kind == "hcl-log"
         assert report.detail["threads_with_entries"] == 10
         assert report.detail["geometry"] == "2x64"
+        # One chunk per entry; counted from one view, reported as Python ints.
+        assert report.detail["total_chunks"] == 10
+        assert type(report.detail["threads_with_entries"]) is int
+        assert type(report.detail["total_chunks"]) is int
 
     def test_classifies_conv_log(self, system):
         gpmlog_create_conv(system, "/pm/c", 1 << 20, 8)

@@ -8,14 +8,24 @@ launch accounting and the same persisted image, on every route the
 machine picks (Optane, LLC installs, adaptive staging, DRAM, zero-length
 segments).  A crash must also stop delivery: stores still buffered when
 it fires die with it.
+
+A region run of few queued segments is delivered from Python ints, larger
+ones through numpy; the two routes must be indistinguishable too, crash
+states included.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import System
 from repro.core.persist import persist_window
-from repro.sim import CrashInjector, SimulatedCrash, event_to_record
+from repro.gpu.device import _BlockEngine
+from repro.gpu.kernel import _IMPLICIT_ROUND, LaunchAccounting
+from repro.sim import CrashInjector, SimulatedCrash, SystemConfig, event_to_record
 from repro.sim.events import (
     Crash,
     GpuPmWrite,
@@ -79,8 +89,12 @@ def _run_mixed(model, ddio_off, per_warp):
 
 @pytest.mark.parametrize("ddio_off", [False, True], ids=["ddio-on", "ddio-off"])
 @pytest.mark.parametrize("model", MODELS)
-def test_per_warp_and_queued_delivery_are_identical(model, ddio_off):
+def test_per_warp_and_queued_delivery_are_identical(model, ddio_off, monkeypatch):
+    # Each eager drain is one warp round of at most 64 segments, within the
+    # list route's cutoff; the queued side is put above it, so it takes
+    # the vectorized route.
     eager = _run_mixed(model, ddio_off, per_warp=True)
+    monkeypatch.setattr(_BlockEngine, "LIST_DRAIN_SEGMENTS", 0)
     queued = _run_mixed(model, ddio_off, per_warp=False)
     assert queued[0] == eager[0]
     assert queued[1] == eager[1]
@@ -190,3 +204,99 @@ def test_crash_leaves_no_dirty_lines_from_buffered_stores(model):
     events, crash, machine = _launch_events(model, _barrier_kernel, 1)
     assert crash is not None and crash.frontier_kind == "warp-drain"
     assert machine.llc.dirty_lines(machine.region("pm")) == []
+
+
+# -- the list route against the vectorized route ------------------------------
+
+#: route -> (persistency model, region kind, inside a persist window)
+ROUTES = {
+    "ddio-off": ("strict", "pm", True),
+    "ddio-on": ("strict", "pm", False),
+    "adaptive": ("adaptive", "pm", True),
+    "dram": ("strict", "dram", True),
+    "eadr": ("eadr", "pm", True),
+}
+REGION_BYTES = 8192
+#: A 64-line DDIO window, so LLC-bound drains also evict.
+SMALL_LLC = SystemConfig().with_overrides(llc_ddio_bytes=4096)
+
+# Small stores stage under the adaptive model, runs past an XPLine go direct.
+_segments = st.lists(st.tuples(st.integers(0, REGION_BYTES - 640),
+                               st.one_of(st.integers(0, 48), st.integers(200, 600))),
+                     min_size=1, max_size=16)
+_groups = st.lists(st.tuples(_segments, st.sampled_from([1, 2, _IMPLICIT_ROUND])),
+                   min_size=1, max_size=4)
+
+
+def _entries(region, groups, warp_lane, empty_batch):
+    """Queue entries of one region run: int lists or numpy batches of <= 5."""
+    entries = []
+    for segments, round_no in groups:
+        starts = [s for s, _ in segments]
+        lengths = [n for _, n in segments]
+        if warp_lane:
+            starts = [np.array(starts[k:k + 5], dtype=np.int64)
+                      for k in range(0, len(starts), 5)]
+            lengths = [np.array(lengths[k:k + 5], dtype=np.int64)
+                       for k in range(0, len(lengths), 5)]
+            if empty_batch:
+                starts.append(np.empty(0, dtype=np.int64))
+                lengths.append(np.empty(0, dtype=np.int64))
+        entries.append((region, starts, lengths, round_no))
+    return entries
+
+
+def _deliver(route, groups, warp_lane, empty_batch, lists, crash_at=None):
+    """Drain one region run through one route; what every observer sees."""
+    model, kind, window = ROUTES[route]
+    system = System(SMALL_LLC, persistency=model)
+    machine = system.machine
+    region = (machine.alloc_pm if kind == "pm" else machine.alloc_dram)("r", REGION_BYTES)
+    region.visible[:] = np.arange(REGION_BYTES) % 251
+    records, frontiers = [], []
+
+    def observe(ts, ev):
+        records.append(event_to_record(ts, ev))
+        if type(ev).frontier_kind is not None:
+            frontiers.append(len(records))
+
+    acct = LaunchAccounting()
+    engine = _BlockEngine(machine, acct)
+    engine.LIST_DRAIN_SEGMENTS = 10**6 if lists else -1
+    injector = CrashInjector(machine)
+    crashed = False
+    try:
+        with persist_window(system) if window else nullcontext():
+            if kind == "pm":
+                # Leave the Optane stream mid-region, so the first epoch's
+                # sequentiality depends on it.
+                machine.optane.write_epoch(region, [2048], [256])
+            machine.events.subscribe(observe)
+            if crash_at is not None:
+                injector.arm_at_frontier(crash_at)
+            engine._queue.extend(_entries(region, groups, warp_lane, empty_batch))
+            engine._drain_queue()
+    except SimulatedCrash:
+        crashed = True
+    image = region.persisted if region.persisted is not None else region.visible
+    optane = machine.optane
+    return {
+        "records": records, "frontiers": len(frontiers), "crashed": crashed,
+        "accounting": acct, "image": image.tobytes(),
+        "stream": (optane._last_line, optane._last_region == region.token),
+        "dirty": machine.llc.dirty_lines(region),
+    }
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@settings(max_examples=30, deadline=None)
+@given(groups=_groups, warp_lane=st.booleans(), empty_batch=st.booleans())
+def test_list_route_matches_vectorized_route(route, groups, warp_lane, empty_batch):
+    args = (route, groups, warp_lane, empty_batch)
+    vectorized = _deliver(*args, lists=False)
+    assert _deliver(*args, lists=True) == vectorized
+    assert not vectorized["crashed"]
+    for frontier in range(vectorized["frontiers"]):
+        crashed = _deliver(*args, lists=False, crash_at=frontier)
+        assert crashed["crashed"]
+        assert _deliver(*args, lists=True, crash_at=frontier) == crashed

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Machine
-from repro.sim.optane import merge_segments, merge_segments_grouped
+from repro.sim import Machine, event_to_record
+from repro.sim.optane import merge_segment_lists, merge_segments, merge_segments_grouped
 
 segments = st.lists(
     st.tuples(st.integers(0, 4000), st.integers(1, 300)), min_size=1, max_size=40
@@ -55,7 +55,52 @@ class TestMergeSegmentsProperties:
             assert rl[rg == group].tolist() == ml.tolist()
 
 
+    @given(st.lists(st.tuples(st.integers(0, 4000), st.integers(0, 300)),
+                    max_size=40))
+    def test_list_merge_equals_grouped_merge(self, segs):
+        # Unsorted, overlapping and zero-length, as one warp round's stores.
+        starts = [seg[0] for seg in segs]
+        lengths = [seg[1] for seg in segs]
+        rs, rl, _ = merge_segments_grouped(
+            np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64),
+            np.zeros(len(segs), dtype=np.int64), 4301)
+        assert merge_segment_lists(starts, lengths) == (rs.tolist(), rl.tolist())
+
+
 class TestWriteEpochProperties:
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, 4000), st.integers(0, 300)), max_size=40),
+           st.sampled_from([None, "same", "other"]), st.integers(0, 8000))
+    def test_list_and_array_input_agree(self, segs, prior, prior_start):
+        # The list core (forced for every size here) against the array core:
+        # same epoch event, media time to the bit, persisted image and
+        # stream state, after a prior epoch on the same region, another
+        # region or none.
+        outcomes = []
+        for as_lists in (True, False):
+            machine = Machine()
+            region = machine.alloc_pm("x", 8192)
+            other = machine.alloc_pm("y", 8192)
+            region.visible[:] = np.arange(8192) % 251
+            if prior is not None:
+                machine.optane.write_epoch(region if prior == "same" else other,
+                                           np.array([prior_start]), np.array([64]))
+            records = []
+            machine.events.subscribe(
+                lambda ts, ev, records=records: records.append(event_to_record(ts, ev)))
+            starts = [seg[0] for seg in segs]
+            lengths = [seg[1] for seg in segs]
+            if as_lists:
+                machine.optane.LIST_EPOCH_SEGMENTS = len(segs)
+                t = machine.optane.write_epoch(region, starts, lengths)
+            else:
+                t = machine.optane.write_epoch(region, np.array(starts, dtype=np.int64),
+                                               np.array(lengths, dtype=np.int64))
+            optane = machine.optane
+            outcomes.append((t, type(t), records, region.persisted.tobytes(),
+                             optane._last_line, optane._last_region == region.token))
+        assert outcomes[0] == outcomes[1]
+
     @settings(max_examples=30)
     @given(segments)
     def test_persists_exactly_the_written_ranges(self, segs):

@@ -76,6 +76,18 @@ class TestLeNet:
             net.train_step(x, y)
         assert net.accuracy(x, y) > 0.3
 
+    def test_same_seed_builds_equal_independent_networks(self):
+        # Initial parameters come from a shared per-(hidden, seed) template;
+        # training one network must not move the next one's start.
+        x, y = synthetic_mnist(32, seed=1, size=LeNet.IMAGE_SIZE)
+        first = LeNet(seed=5)
+        initial = first.params.pack()
+        first.train_step(x, y)
+        second = LeNet(seed=5)
+        assert np.array_equal(second.params.pack(), initial)
+        assert all(t.flags.writeable for t in second.params.tensors())
+        assert not np.array_equal(LeNet(seed=6).params.pack(), initial)
+
     def test_pack_unpack_roundtrip(self):
         net = LeNet(seed=3)
         flat = net.params.pack()
