@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 from ..host.gpufs import GpufsUnsupported
 from ..sim import config as _config
 from ..sim.config import SystemConfig
-from ..workloads import Mode, RunResult, gpmbench_suite
+from ..workloads import Mode, RunResult, gpmbench_suite, hostmemo
 from .diskcache import ResultCache, result_from_record, result_to_record
 
 
@@ -300,5 +300,11 @@ def run_workload(name: str, mode: Mode) -> RunResult:
 
 
 def clear_cache() -> None:
-    """Drop the in-process memo (the disk cache is untouched)."""
+    """Drop the in-process memo and the remembered host trajectories.
+
+    Both the run results and the workloads' mode-independent host compute
+    (:mod:`repro.workloads.hostmemo`) start cold afterwards; the disk cache
+    is untouched.
+    """
     _cache.clear()
+    hostmemo.clear()

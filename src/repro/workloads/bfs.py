@@ -38,6 +38,7 @@ from ..gpu.memory import DeviceArray
 from ..gpu.warp import vectorized_for
 from ..sim import bulk
 from .base import Category, Mode, ModeDriver, RunResult, make_system, measure
+from .hostmemo import HostTrajectory
 
 INF = np.uint32(0xFFFFFFFF)
 _HEADER_BYTES = 128
@@ -50,8 +51,9 @@ def make_road_graph(rows: int, cols: int, seed: int = 17,
     Grid connectivity (low degree, huge diameter - the signature of road
     networks) plus a sprinkle of random shortcuts.  Returns (row_ptr,
     col_idx) with symmetric edges.  Construction is deterministic per
-    argument tuple, so repeated builds (every bench leg re-runs BFS twice)
-    come from a small cache; the returned arrays are read-only.
+    argument tuple, so repeated builds (one graph is traversed under
+    several persistence modes) come from a small cache; the returned
+    arrays are read-only.
     """
     return _road_graph_cached(rows, cols, seed, shortcut_fraction)
 
@@ -251,9 +253,16 @@ class GraphBfs:
         row_ptr.np[:] = row_ptr_np
         col_idx.np[:] = col_idx_np
 
+        # A fresh bulk traversal expands the same levels under every mode;
+        # a resumed one starts from whatever the crash left durable, and the
+        # kernel engine's levels are the launch itself.
+        trajectory = None
         if resume_buffer is not None:
             buf = resume_buffer
         else:
+            if cfg.engine == "bulk":
+                trajectory = HostTrajectory(self.name, row_ptr_np, col_idx_np,
+                                            cfg.source)
             buf = driver.buffer("/pm/bfs.state", self._buffer_bytes(),
                                 fine_grained=True, paper_bytes=self.paper_data_bytes)
             buf.visible_view(np.uint32, self._cost_off(), n)[:] = INF
@@ -263,7 +272,8 @@ class GraphBfs:
 
         def traverse():
             return self._traverse(driver, buf, row_ptr, col_idx,
-                                  row_ptr_np, col_idx_np, crash_injector)
+                                  row_ptr_np, col_idx_np, crash_injector,
+                                  trajectory)
 
         levels, window = measure(system, traverse)
         return RunResult(
@@ -272,19 +282,20 @@ class GraphBfs:
         )
 
     def _traverse(self, driver, buf, row_ptr, col_idx, row_ptr_np, col_idx_np,
-                  injector) -> int:
+                  injector, trajectory) -> int:
         # The whole level-synchronous search runs inside one persistence
         # window: with 768 micro-kernels, per-launch DDIO toggling would
         # dominate (the paper brackets the kernel-launch region similarly).
         driver.persist_phase_begin()
         try:
             return self._traverse_inner(driver, buf, row_ptr, col_idx,
-                                        row_ptr_np, col_idx_np, injector)
+                                        row_ptr_np, col_idx_np, injector,
+                                        trajectory)
         finally:
             driver.persist_phase_end()
 
     def _traverse_inner(self, driver, buf, row_ptr, col_idx, row_ptr_np,
-                        col_idx_np, injector) -> int:
+                        col_idx_np, injector, trajectory) -> int:
         cfg = self.config
         system = driver.system
         n = self.n_nodes
@@ -333,7 +344,7 @@ class GraphBfs:
             else:
                 new = self._level_bulk(driver, buf, row_ptr_np, col_idx_np,
                                        cost_view, frontier_np, level, visited,
-                                       mask)
+                                       mask, trajectory)
             self._persist_level(driver, buf, new, level, visited)
             visited += new.size
             self._commit_level(driver, buf, level + 1, visited)
@@ -342,8 +353,32 @@ class GraphBfs:
         return level
 
     def _level_bulk(self, driver, buf, row_ptr_np, col_idx_np, cost_view,
-                    frontier_np, level, visited, mask) -> np.ndarray:
-        system = driver.system
+                    frontier_np, level, visited, mask, trajectory) -> np.ndarray:
+        def expand():
+            return self._expand_level(row_ptr_np, col_idx_np, cost_view,
+                                      frontier_np, level, visited, mask)
+
+        if trajectory is None:
+            new_idx, new, offsets, values = expand()
+        else:
+            new_idx, new, offsets, values = trajectory.step(level, expand)
+        # One relaxation kernel per level writes both the new costs
+        # (scattered) and the visit sequence (contiguous, coalesced).
+        cost_view[new_idx] = level
+        driver.system.gpu.scatter_store_bulk(
+            buf.kernel_region, offsets, values, item_bytes=4,
+            fence_rounds=1 if driver.mode.data_on_pm else 0,
+            ops_per_item=6,
+        )
+        return new
+
+    def _expand_level(self, row_ptr_np, col_idx_np, cost_view, frontier_np,
+                      level, visited, mask):
+        """One level's host math: ``(new_idx, new, offsets, values)``.
+
+        Reads ``cost_view`` (unvisited test) but writes nothing there;
+        ``mask`` is scratch and comes back all False.
+        """
         starts = row_ptr_np[frontier_np]
         ends = row_ptr_np[frontier_np + 1]
         counts = ends - starts
@@ -368,9 +403,6 @@ class GraphBfs:
         new_idx = np.flatnonzero(mask)
         mask[new_idx] = False
         new = new_idx.astype(np.uint32)
-        # One relaxation kernel per level writes both the new costs
-        # (scattered) and the visit sequence (contiguous, coalesced).
-        cost_view[new_idx] = level
         k = new.size
         offsets = np.empty(2 * k, dtype=np.int64)
         np.multiply(new_idx, 4, out=offsets[:k])
@@ -380,12 +412,7 @@ class GraphBfs:
         values = np.empty(2 * k, dtype=np.uint32)
         values[:k] = level
         values[k:] = new
-        system.gpu.scatter_store_bulk(
-            buf.kernel_region, offsets, values, item_bytes=4,
-            fence_rounds=1 if driver.mode.data_on_pm else 0,
-            ops_per_item=6,
-        )
-        return new
+        return new_idx, new, offsets, values
 
     def _level_kernel(self, driver, buf, row_ptr, col_idx, frontier_np, level,
                       visited, injector) -> np.ndarray:

@@ -17,6 +17,7 @@ from scipy.special import erf
 
 from ..gpu.memory import DeviceArray
 from .checkpointed import CheckpointedWorkload
+from .hostmemo import HostTrajectory
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
@@ -59,6 +60,8 @@ class BlackScholes(CheckpointedWorkload):
         self.t = rng.uniform(0.25, 10.0, n)
         self.rate = 0.02
         self.vol = 0.30
+        self._trajectory = HostTrajectory(self.name, self.spot, self.strike, self.t,
+                                          self.rate, self.vol)
         nbytes = 2 * n * 4  # call + put prices, float32
         hbm = system.machine.alloc_hbm("blk.prices", nbytes)
         self._prices = DeviceArray(hbm, np.float32, 0, 2 * n)
@@ -70,9 +73,14 @@ class BlackScholes(CheckpointedWorkload):
         slices = 4
         lo = (iteration % slices) * n // slices
         hi = lo + n // slices
-        vol = self.vol * (1.0 + 0.01 * iteration)
-        call, put = black_scholes(self.spot[lo:hi], self.strike[lo:hi],
-                                  self.t[lo:hi], self.rate, vol)
-        self._prices.np[lo:hi] = call.astype(np.float32)
-        self._prices.np[n + lo : n + hi] = put.astype(np.float32)
+
+        def price() -> tuple[np.ndarray, np.ndarray]:
+            vol = self.vol * (1.0 + 0.01 * iteration)
+            call, put = black_scholes(self.spot[lo:hi], self.strike[lo:hi],
+                                      self.t[lo:hi], self.rate, vol)
+            return call.astype(np.float32), put.astype(np.float32)
+
+        call, put = self._trajectory.step(iteration, price)
+        self._prices.np[lo:hi] = call
+        self._prices.np[n + lo : n + hi] = put
         system.gpu.compute(60 * (hi - lo))  # ~flops of the closed form

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..gpu.memory import DeviceArray
 from .checkpointed import CheckpointedWorkload
+from .hostmemo import HostTrajectory
 
 GAMMA = 1.4
 
@@ -114,6 +115,8 @@ class CfdSolver(CheckpointedWorkload):
 
     def setup(self, system) -> list[DeviceArray]:
         self.solver = EulerSolver(self.n)
+        self._trajectory = HostTrajectory(self.name, self.solver.state, self.solver.cfl,
+                                          self.solver.dx, self.steps_per_iteration)
         nbytes = self.solver.state.astype(np.float32).nbytes
         hbm = system.machine.alloc_hbm("cfd.state", nbytes)
         self._payload = DeviceArray(hbm, np.float32, 0, nbytes // 4)
@@ -123,10 +126,14 @@ class CfdSolver(CheckpointedWorkload):
     def _sync(self) -> None:
         self._payload.np[:] = self.solver.state.astype(np.float32).ravel()
 
-    def compute_iteration(self, system, iteration: int) -> None:
+    def _solve(self) -> tuple[np.ndarray, int]:
         flops = 0
         for _ in range(self.steps_per_iteration):
             self.solver.step()
             flops += self.solver.flops_per_step()
+        return self.solver.state, flops
+
+    def compute_iteration(self, system, iteration: int) -> None:
+        self.solver.state, flops = self._trajectory.step(iteration, self._solve)
         self._sync()
         system.gpu.compute(flops)

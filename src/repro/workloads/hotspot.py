@@ -16,6 +16,7 @@ import numpy as np
 
 from ..gpu.memory import DeviceArray
 from .checkpointed import CheckpointedWorkload
+from .hostmemo import HostTrajectory
 
 # Rodinia hotspot constants (scaled chip, arbitrary-but-physical units).
 AMB_TEMP = 80.0
@@ -66,6 +67,8 @@ class Hotspot(CheckpointedWorkload):
 
     def setup(self, system) -> list[DeviceArray]:
         self.grid = HotspotGrid(self.n)
+        self._trajectory = HostTrajectory(self.name, self.grid.temp, self.grid.power,
+                                          self.steps_per_iteration)
         nbytes = self.n * self.n * 4
         hbm = system.machine.alloc_hbm("hs.temp", nbytes)
         self._payload = DeviceArray(hbm, np.float32, 0, nbytes // 4)
@@ -75,10 +78,14 @@ class Hotspot(CheckpointedWorkload):
     def _sync(self) -> None:
         self._payload.np[:] = self.grid.temp.astype(np.float32).ravel()
 
-    def compute_iteration(self, system, iteration: int) -> None:
+    def _solve(self) -> tuple[np.ndarray, int]:
         flops = 0
         for _ in range(self.steps_per_iteration):
             self.grid.step()
             flops += self.grid.flops_per_step()
+        return self.grid.temp, flops
+
+    def compute_iteration(self, system, iteration: int) -> None:
+        self.grid.temp, flops = self._trajectory.step(iteration, self._solve)
         self._sync()
         system.gpu.compute(flops)

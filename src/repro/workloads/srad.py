@@ -13,8 +13,10 @@ the planes off the 256 B XPLine boundary to preserve that behaviour.
 
 The diffusion math is the genuine SRAD update (Yu & Acton); persistence
 follows the native pattern: every pixel's coefficient and new intensity
-are stored and fenced in-kernel, so after a crash the filter resumes from
-the last durable iteration counter.
+are stored and fenced in-kernel, followed by a durable iteration counter.
+Each run creates its PM state fresh and filters from the noisy input; the
+counter records how far the durable image has progressed, but no resume
+path reads it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from ..gpu.warp import vectorized_for
 from .base import Category, Mode, ModeDriver, RunResult, make_system, measure
+from .hostmemo import HostTrajectory
 
 _HEADER_BYTES = 128
 #: Extra offset that knocks the image/coefficient planes off XPLine
@@ -158,21 +161,22 @@ class Srad:
                             fine_grained=self.fine_grained,
                             paper_bytes=self.paper_data_bytes)
         self._state = (system, driver, buf)
+        trajectory = HostTrajectory(self.name, img, cfg.lam)
 
         def diffuse():
-            cur = img
-            n_px = cfg.n * cfg.n
-            done = int(buf.visible_view(np.uint32, 0, 1)[0])
             driver.persist_phase_begin()
             try:
-                return _iterate(cur, n_px, done)
+                return _iterate()
             finally:
                 driver.persist_phase_end()
 
-        def _iterate(cur, n_px, done):
+        def _iterate():
+            cur = img
+            n_px = cfg.n * cfg.n
             grid = (n_px + _BLOCK_DIM - 1) // _BLOCK_DIM
-            for it in range(done, cfg.iterations):
-                cur, coef = srad_iteration(cur, cfg.lam)
+            for it in range(cfg.iterations):
+                cur, coef = trajectory.step(
+                    it, lambda cur=cur: srad_iteration(cur, cfg.lam))
                 # Native persistence: every pixel's new intensity and
                 # coefficient is stored + fenced from the kernel (one
                 # launch per plane, keeping each drain stream sequential).
@@ -188,7 +192,7 @@ class Srad:
                     self._last_lane = res.lane
                 if not driver.mode.in_kernel_persist:
                     buf.persist_all()
-                # Durable iteration counter: the resume point.
+                # Durable iteration counter: how far the durable image got.
                 buf.visible_view(np.uint32, 0, 1)[0] = it + 1
                 if driver.mode.in_kernel_persist:
                     system.gpu.store_and_persist_value(buf.kernel_region, 0,
