@@ -192,25 +192,18 @@ class HclLog:
         the ``k`` participating lanes.  The per-chunk-index store batches
         land at the same lane-strided offsets as ``k`` scalar inserts, so
         the warp's stores of chunk ``c`` still merge into one 128 B line,
-        and the two persists (entry, then tail) keep the same rounds.
+        and the two persists (entry, then tail) keep the same rounds.  No
+        participating lanes, no work: no scalar thread would insert.
         """
         chunks = np.atleast_2d(np.asarray(chunks, dtype=np.uint32))
         sel = wctx.active(lanes)
         k, n = chunks.shape
         if k != sel.size:
             raise GpmError(f"{k} entries for {sel.size} participating lanes")
-        if (wctx.block_id >= self.blocks
-                or wctx.block_dim > self.threads_per_block):
-            raise GpmError(
-                f"kernel geometry exceeds log geometry "
-                f"({self.blocks}x{self.threads_per_block})"
-            )
-        thread_flats = wctx.thread_flats[sel]
-        warp_flat = wctx.block_id * self.warps_per_block + wctx.warp_in_block
-        lane_ids = thread_flats % _WARP
-        slots = wctx.block_id * self.threads_per_block + thread_flats
+        if k == 0:
+            return
+        warp_flat, lane_ids, slots, tail_offs = self._warp_identity(wctx, sel)
         region = self.gpm.region
-        tail_offs = self.tails_offset + slots.astype(np.int64) * 4
         tails = wctx.load(region, tail_offs, np.uint32).astype(np.int64)
         if int(tails.max()) + n > self.chunks_per_thread:
             slot = int(slots[int(np.argmax(tails))])
@@ -218,14 +211,21 @@ class HclLog:
                 f"thread slot {slot}: {int(tails.max())}+{n} chunks exceed "
                 f"capacity {self.chunks_per_thread}"
             )
-        warp_base = self.data_offset + warp_flat * self.chunks_per_thread * _STRIPE
+        # Every chunk's word index in the warp's data area (row c: chunk c
+        # of each lane), written in one pass and metered as one store per
+        # chunk index - the batches k scalar inserts leave pending.
+        cpt = self.chunks_per_thread
+        warp_base = self.data_offset + warp_flat * cpt * _STRIPE
+        if self.striped:
+            first, step = tails * _WARP + lane_ids, _WARP
+        else:
+            first, step = lane_ids * cpt + tails, 1
+        offs = first + np.arange(0, n * step, step)[:, None]
+        region.view(np.uint32, warp_base, cpt * _WARP)[offs] = chunks.T
+        offs *= _CHUNK
+        offs += warp_base
         for c in range(n):
-            if self.striped:
-                offs = warp_base + (tails + c) * _STRIPE + lane_ids * _CHUNK
-            else:
-                offs = (warp_base + lane_ids * self.chunks_per_thread * _CHUNK
-                        + (tails + c) * _CHUNK)
-            wctx.store(region, offs, chunks[:, c], np.uint32, lanes=sel)
+            wctx.record_store(region, offs[c], _CHUNK, sel)
         wctx.persist(sel)
         wctx.store(region, tail_offs, (tails + n).astype(np.uint32), np.uint32,
                    lanes=sel)

@@ -82,10 +82,6 @@ class DeltaCheckpoint:
 
     # -- layout ------------------------------------------------------------
 
-    def _tag(self, chunk: int, slot: int) -> int:
-        view = self.gpm.view(np.uint32, self._tags_off, self.n_chunks * 2)
-        return int(view[chunk * 2 + slot])
-
     def _slot_off(self, chunk: int, slot: int) -> int:
         return self._data_off + (chunk * 2 + slot) * self.chunk_bytes
 

@@ -52,7 +52,7 @@ from ..sim.machine import Machine
 from ..sim.memory import MemKind, Region
 from ..sim.optane import merge_segment_lists, merge_segments_grouped
 from ..sim.persistency import active_mutant
-from .hierarchy import Dim3, ThreadId, warps_in_grid
+from .hierarchy import Dim3, ThreadId
 from .kernel import (
     _IMPLICIT_ROUND,
     GpuFault,
@@ -403,13 +403,15 @@ class Gpu:
         """
         grid = Dim3.of(grid_dim)
         block = Dim3.of(block_dim)
-        if block.count > 1024:
-            raise GpuFault(f"block of {block.count} threads exceeds the 1024-thread limit")
+        grid_count = grid.count
+        block_count = block.count
+        if block_count > 1024:
+            raise GpuFault(f"block of {block_count} threads exceeds the 1024-thread limit")
         warp_size = self.config.gpu_warp_size
-        acct = LaunchAccounting()
+        total_threads = grid_count * block_count
+        total_warps = grid_count * -(-block_count // warp_size)
+        acct = LaunchAccounting(ops=compute_ops_per_thread * total_threads)
         engine = _BlockEngine(self.machine, acct, defer=crash_injector is None)
-        total_threads = grid.count * block.count
-        acct.ops += compute_ops_per_thread * total_threads
         self.machine.events.emit(KernelLaunch(kind="kernel"))
         warp_impl = (None if crash_injector is not None
                      and crash_injector.needs_scalar_lane
@@ -419,11 +421,11 @@ class Gpu:
         retired = 0
         crashed = False
         try:
-            for block_flat in range(grid.count):
+            for block_flat in range(grid_count):
                 shared = shared_factory(block_flat) if shared_factory else {}
                 if warp_impl is not None:
                     retired = self._run_block_warps(
-                        warp_impl, grid.count, block.count, block_flat,
+                        warp_impl, grid_count, block_count, block_flat,
                         shared, args, engine, warp_size, retired,
                         is_generator, crash_injector,
                     )
@@ -432,7 +434,7 @@ class Gpu:
                     ThreadContext(
                         ThreadId(grid, block, block_flat, t, warp_size), shared, engine
                     )
-                    for t in range(block.count)
+                    for t in range(block_count)
                 ]
                 if is_generator:
                     retired = self._run_block_generators(
@@ -459,7 +461,7 @@ class Gpu:
                 # Charged even when a crash fires inside finish() itself
                 # (at the kernel's closing fence or epoch boundary).
                 frac = retired / total_threads if total_threads else 1.0
-                elapsed = self._launch_elapsed(acct, total_threads, grid, block)
+                elapsed = self._launch_elapsed(acct, total_threads, total_warps)
                 if crashed:
                     elapsed *= max(frac, 1.0 / max(total_threads, 1))
                 if advance_clock:
@@ -468,7 +470,7 @@ class Gpu:
             elapsed=elapsed,
             accounting=acct,
             threads=total_threads,
-            warps=warps_in_grid(grid, block, warp_size),
+            warps=total_warps,
             lane="warp" if warp_impl is not None else "scalar",
         )
 
@@ -568,10 +570,9 @@ class Gpu:
     # timing
     # ------------------------------------------------------------------
 
-    def _launch_elapsed(self, acct: LaunchAccounting, total_threads: int, grid: Dim3, block: Dim3) -> float:
+    def _launch_elapsed(self, acct: LaunchAccounting, total_threads: int, total_warps: int) -> float:
         cfg = self.config
-        total_warps = warps_in_grid(grid, block, cfg.gpu_warp_size)
-        waves = max(1, math.ceil(total_warps / cfg.gpu_max_resident_warps))
+        waves = -(-total_warps // cfg.gpu_max_resident_warps)
         compute = acct.ops * cfg.gpu_op_latency_s / max(
             1, min(total_threads, cfg.gpu_parallel_lanes)
         )

@@ -10,6 +10,8 @@ faithfully.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 
@@ -27,12 +29,17 @@ class Dim3:
 
     @classmethod
     def of(cls, dims) -> "Dim3":
-        """Coerce an int, tuple, or Dim3 into a Dim3."""
+        """Coerce an integer (``int`` or numpy), a tuple or list of up to
+        three, or a Dim3 into a Dim3; anything else raises TypeError."""
         if isinstance(dims, Dim3):
             return dims
-        if isinstance(dims, int):
-            return cls(dims)
-        return cls(*dims)
+        try:
+            if isinstance(dims, (tuple, list)):
+                return cls(*map(operator.index, dims))
+            return _extent(operator.index(dims))
+        except TypeError:
+            raise TypeError("grid and block dimensions must be at most three "
+                            f"integers, got {dims!r}") from None
 
     @property
     def count(self) -> int:
@@ -50,6 +57,12 @@ class Dim3:
 
     def __iter__(self):
         return iter((self.x, self.y, self.z))
+
+
+@functools.lru_cache(maxsize=64)
+def _extent(count: int) -> Dim3:
+    """The 1-D extent ``count``, shared by every launch of that size."""
+    return Dim3(count)
 
 
 @dataclass(frozen=True)

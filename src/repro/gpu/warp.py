@@ -121,13 +121,15 @@ class WarpContext:
     lanes (indices into the warp, an int array or a boolean mask; default:
     every lane).  Divergent kernels pass the active subset explicitly -
     the simulated accounting charges only participating lanes, exactly as
-    the scalar lane charges only threads that execute the operation.
+    the scalar lane charges only threads that execute the operation.  A
+    kernel that passes one index array along pays full-warp cost: fences
+    over that lane set keep scalar rounds and drain its stores in one pass.
     """
 
     __slots__ = (
         "shared", "block_flat", "warp_global", "warp_in_block", "n",
         "lanes", "thread_flats", "global_ids", "_block_dim", "_grid_dim",
-        "_engine", "_rounds", "_round0", "_pending",
+        "_engine", "_group", "_group_round", "_base", "_rounds", "_pending",
     )
 
     def __init__(self, grid_count: int, block_count: int, block_flat: int,
@@ -149,12 +151,14 @@ class WarpContext:
         self._block_dim = block_count
         self._grid_dim = grid_count
         self._engine = engine
-        #: Per-lane fence-round counters (the scalar lane's ``ctx._round``).
-        #: Kept as one scalar (``_round0``) while every lane agrees - the
-        #: convergent common case - and materialised per-lane only once a
-        #: divergent fence splits the warp.
+        #: Fence rounds (the scalar lane's per-thread ``ctx._round``): the
+        #: ``_group`` lanes - every lane, until one subset fences alone -
+        #: at ``_group_round``, the rest at ``_base``.  A fence over another
+        #: lane set builds the per-lane ``_rounds``, used from then on.
+        self._group = self.lanes
+        self._group_round = 0
+        self._base = 0
         self._rounds = None
-        self._round0 = 0
         #: Vector store batches awaiting a fence:
         #: (region, starts, lengths, lane indices), one entry per store op.
         self._pending: list[tuple[Region, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -221,15 +225,23 @@ class WarpContext:
         Returns a ``(k,)`` array (``count == 1``) or ``(k, count)`` array,
         ``k`` being the number of participating lanes.  Accounting matches
         ``k`` scalar :meth:`~repro.gpu.kernel.ThreadContext.load` calls.
+        A densely packed run of offsets is read as one slice.
         """
         del lanes  # participation is implied by offsets; kept for symmetry
         offsets = np.asarray(offsets, dtype=np.int64)
         k = offsets.size
         dtype = np.dtype(dtype)
         nbytes = dtype.itemsize * count
-        self._bounds(region, offsets, nbytes)
-        idx = (offsets[:, None] + _span(nbytes)).reshape(-1)
-        data = region.visible[idx].view(dtype)
+        lo = offsets.item(0) if k else 0
+        if (k and offsets.item(-1) - lo == (k - 1) * nbytes
+                and (k < 3 or (offsets[1:] - offsets[:-1] == nbytes).all())):
+            if lo < 0 or lo + k * nbytes > region.size:
+                self._bounds(region, offsets, nbytes)
+            data = region.visible[lo:lo + k * nbytes].view(dtype).copy()
+        else:
+            self._bounds(region, offsets, nbytes)
+            idx = (offsets[:, None] + _span(nbytes)).reshape(-1)
+            data = region.visible[idx].view(dtype)
         self._meter_loads(region, k, nbytes)
         if count == 1:
             return data
@@ -333,9 +345,9 @@ class WarpContext:
         ``coalesced=True`` asserts the offsets form one ascending densely
         packed run (lane ``j`` at ``offsets[0] + j * nbytes``; one lane is
         trivially such a run), skipping the per-element detection scan; the
-        end points are still checked.  A whole-warp coalesced store of one
-        element per lane (``lanes=None``, ``values`` an array of ``k``
-        elements) writes the run as one typed slice.
+        end points are still checked.  A densely packed store of one
+        element per lane (``values`` an array of ``k`` elements, over any
+        lane subset) writes the run as one typed slice.
 
         A store over no lanes (empty ``offsets``) is a no-op: nothing is
         written, metered or left pending, as no scalar thread stores.
@@ -345,14 +357,12 @@ class WarpContext:
         if k == 0:
             return
         dtype = np.dtype(dtype)
-        whole = (coalesced and lanes is None and type(values) is np.ndarray
-                 and values.shape == (k,))
+        sel = self.lanes if lanes is None else self._sel(lanes)
+        whole = type(values) is np.ndarray and values.shape == (k,)
         if whole:
-            # One element per lane over the whole warp: written below as
-            # one typed slice, with no byte view of the values.
-            sel, nbytes = self.lanes, dtype.itemsize
+            # One element per lane: a packed run is one typed slice below.
+            nbytes = dtype.itemsize
         else:
-            sel = self._sel(lanes)
             arr = np.asarray(values, dtype=dtype)
             if arr.ndim == 0:
                 arr = np.broadcast_to(arr, (k,))
@@ -363,7 +373,7 @@ class WarpContext:
         if coalesced and not packed:
             raise ValueError("store(coalesced=True) offsets are not one "
                              "densely packed ascending run")
-        if packed and (coalesced or
+        if packed and (coalesced or k < 3 or
                        (offsets[1:] - offsets[:-1] == nbytes).all()):
             # Coalesced warp store (ascending, densely packed): one slice
             # assignment instead of a fancy-indexed scatter, and O(1)
@@ -377,6 +387,8 @@ class WarpContext:
                 region.visible[lo:hi] = raw.reshape(-1)
         else:
             self._bounds(region, offsets, nbytes)
+            if whole:
+                raw = np.ascontiguousarray(values, dtype=dtype).view(np.uint8)
             idx = (offsets[:, None] + _span(nbytes)).reshape(-1)
             region.visible[idx] = raw.reshape(-1)
         self.record_store(region, offsets, nbytes, sel)
@@ -467,7 +479,8 @@ class WarpContext:
         Each participating lane counts one fence and advances its private
         round; pending stores belonging to those lanes move into the warp's
         drain buffer under each lane's (new) round number - precisely the
-        scalar lane's per-thread ``fence``, batched.
+        scalar lane's per-thread ``fence``, batched.  When only the fencing
+        lanes' stores are pending, they drain in one pass.
         """
         if lanes is None:
             sel = self.lanes
@@ -485,110 +498,79 @@ class WarpContext:
             # Mirror of the scalar engine's relaxed fence: no ordering, no
             # round; pending stores ride to the implicit round at retire.
             return
-        full = k == self.n
+        if k == self.n:
+            sel = self.lanes
+        warp = self.warp_global
+        rounds = None
         if policy == "epoch":
-            self._persist_epoch(sel, full)
-            return
-        if full and self._rounds is None:
-            # Whole-warp fence with lane-uniform rounds (the overwhelmingly
-            # common convergent case): pure scalar bookkeeping - every
-            # pending store drains under the one shared round.
-            self._round0 = top = self._round0 + 1
-            warp = self.warp_global
+            # Mirror of the scalar engine's epoch fence: fences within one
+            # epoch share one drain round (the epoch ordinal), and the
+            # warp's round count advances once per epoch it fences in.
+            if eng._warp_epoch_seen.get(warp) != eng._epoch:
+                eng._warp_epoch_seen[warp] = eng._epoch
+                eng._warp_rounds[warp] = eng._warp_rounds.get(warp, 0) + 1
+            eng._epoch_dirty = True
+            group, top = sel, eng._epoch
+        else:
+            rounds = self._rounds
+            group = self._group
+            if rounds is None and sel is not group and not (
+                    sel.size == group.size and (sel == group).all()):
+                if group is self.lanes:
+                    # A convergent warp's first subset fence: the subset
+                    # becomes the group, every other lane stays behind.
+                    self._base = self._group_round
+                    self._group = group = sel
+                else:
+                    rounds = self._rounds = np.full(self.n, self._base,
+                                                    dtype=np.int64)
+                    rounds[group] = self._group_round
+            if rounds is None:
+                self._group_round = top = self._group_round + 1
+            else:
+                rounds[sel] += 1
+                top = int(rounds[sel].max())
             if top > eng._warp_rounds.get(warp, 0):
                 eng._warp_rounds[warp] = top
-            if self._pending:
-                self._drain_all(top)
-            return
-        if self._rounds is None:
-            self._rounds = np.full(self.n, self._round0, dtype=np.int64)
-        rounds = self._rounds
-        if full:
-            rounds += 1
-            top = int(rounds.max())
-        else:
-            rounds[sel] += 1
-            top = int(rounds[sel].max())
-        warp = self.warp_global
-        if top > eng._warp_rounds.get(warp, 0):
-            eng._warp_rounds[warp] = top
         if not self._pending:
             return
-        if full:
-            # Whole-warp fence: every pending store drains, no lane
-            # masking needed (rounds may differ after earlier divergence).
-            buf = eng._buffers[warp]
-            for region, starts, lengths, lsel in self._pending:
-                d_rounds = rounds[lsel]
+        if rounds is not None:
+            self._drain_lanes(sel, rounds)
+        elif group is self.lanes or all(b[3] is group for b in self._pending):
+            self._drain_all(top)
+        else:
+            self._drain_lanes(group, top)
+
+    def _drain_lanes(self, sel, rounds) -> None:
+        """Move the pending stores of lanes ``sel`` into the warp's drain
+        buffer, under the round ``rounds`` (an int) or each lane's entry
+        of the per-lane ``rounds`` array; other lanes' stores stay."""
+        eng = self._engine
+        warp = self.warp_global
+        fencing = np.zeros(self.n, dtype=bool)
+        fencing[sel] = True
+        buf = None
+        still = []
+        for region, starts, lengths, lsel in self._pending:
+            drain = fencing[lsel]
+            if not drain.any():
+                still.append((region, starts, lengths, lsel))
+                continue
+            if buf is None:
+                buf = eng._buffers[warp]
+            d_starts = starts[drain]
+            d_lengths = lengths[drain]
+            if not isinstance(rounds, np.ndarray):
+                buf.add_arrays(rounds, region, d_starts, d_lengths)
+            else:
+                d_rounds = rounds[lsel[drain]]
                 r0 = int(d_rounds[0])
                 if d_rounds.size == 1 or (d_rounds == r0).all():
-                    buf.add_arrays(r0, region, starts, lengths)
+                    buf.add_arrays(r0, region, d_starts, d_lengths)
                 else:
                     for r in np.unique(d_rounds).tolist():
                         sub = d_rounds == r
-                        buf.add_arrays(int(r), region, starts[sub], lengths[sub])
-            self._pending = []
-            eng._warps_with_writes.add(warp)
-            return
-        fencing = np.zeros(self.n, dtype=bool)
-        fencing[sel] = True
-        buf = None
-        still = []
-        for region, starts, lengths, lsel in self._pending:
-            drain = fencing[lsel]
-            if not drain.any():
-                still.append((region, starts, lengths, lsel))
-                continue
-            if buf is None:
-                buf = eng._buffers[warp]
-            d_rounds = rounds[lsel[drain]]
-            d_starts = starts[drain]
-            d_lengths = lengths[drain]
-            r0 = int(d_rounds[0])
-            if d_rounds.size == 1 or (d_rounds == r0).all():
-                buf.add_arrays(r0, region, d_starts, d_lengths)
-            else:
-                for r in np.unique(d_rounds).tolist():
-                    sub = d_rounds == r
-                    buf.add_arrays(int(r), region, d_starts[sub], d_lengths[sub])
-            if not drain.all():
-                keep = ~drain
-                still.append((region, starts[keep], lengths[keep], lsel[keep]))
-        self._pending = still
-        if buf is not None:
-            eng._warps_with_writes.add(warp)
-
-    def _persist_epoch(self, sel, full: bool) -> None:
-        """Epoch-policy fence: drain fencing lanes under the open epoch.
-
-        The warp-lane mirror of ``_BlockEngine.fence``'s epoch branch: all
-        fences within one epoch share one drain round (the epoch ordinal),
-        and the warp's round count advances once per epoch it fences in.
-        A whole-warp fence drains every pending store without a lane mask.
-        """
-        eng = self._engine
-        warp = self.warp_global
-        if eng._warp_epoch_seen.get(warp) != eng._epoch:
-            eng._warp_epoch_seen[warp] = eng._epoch
-            eng._warp_rounds[warp] = eng._warp_rounds.get(warp, 0) + 1
-        eng._epoch_dirty = True
-        if not self._pending:
-            return
-        if full:
-            self._drain_all(eng._epoch)
-            return
-        fencing = np.zeros(self.n, dtype=bool)
-        fencing[sel] = True
-        buf = None
-        still = []
-        for region, starts, lengths, lsel in self._pending:
-            drain = fencing[lsel]
-            if not drain.any():
-                still.append((region, starts, lengths, lsel))
-                continue
-            if buf is None:
-                buf = eng._buffers[warp]
-            buf.add_arrays(eng._epoch, region, starts[drain], lengths[drain])
+                        buf.add_arrays(r, region, d_starts[sub], d_lengths[sub])
             if not drain.all():
                 keep = ~drain
                 still.append((region, starts[keep], lengths[keep], lsel[keep]))
@@ -598,7 +580,8 @@ class WarpContext:
 
     def _drain_all(self, round_no: int) -> None:
         """Move every pending store into the warp's drain round
-        ``round_no`` (a whole-warp fence, or retirement)."""
+        ``round_no`` (a fence whose lanes made every pending store, or
+        retirement)."""
         eng = self._engine
         eng._buffers[self.warp_global].add_batches(round_no, self._pending)
         self._pending = []

@@ -114,10 +114,6 @@ class CrashInjector:
     def crash_after(self) -> int | None:
         return self._crash_after
 
-    @property
-    def frontier_after(self) -> int | None:
-        return self._frontier_after
-
     # -- arming ----------------------------------------------------------
 
     def arm(self, crash_after_threads: int) -> None:

@@ -359,12 +359,12 @@ class GraphBfs:
                                       frontier_np, level, visited, mask)
 
         if trajectory is None:
-            new_idx, new, offsets, values = expand()
+            new, offsets, values = expand()
         else:
-            new_idx, new, offsets, values = trajectory.step(level, expand)
+            new, offsets, values = trajectory.step(level, expand)
         # One relaxation kernel per level writes both the new costs
-        # (scattered) and the visit sequence (contiguous, coalesced).
-        cost_view[new_idx] = level
+        # (scattered) and the visit sequence (contiguous, coalesced), in
+        # the visible image ``cost_view`` reads too.
         driver.system.gpu.scatter_store_bulk(
             buf.kernel_region, offsets, values, item_bytes=4,
             fence_rounds=1 if driver.mode.data_on_pm else 0,
@@ -374,7 +374,7 @@ class GraphBfs:
 
     def _expand_level(self, row_ptr_np, col_idx_np, cost_view, frontier_np,
                       level, visited, mask):
-        """One level's host math: ``(new_idx, new, offsets, values)``.
+        """One level's host math: ``(new, offsets, values)``.
 
         Reads ``cost_view`` (unvisited test) but writes nothing there;
         ``mask`` is scratch and comes back all False.
@@ -412,7 +412,7 @@ class GraphBfs:
         values = np.empty(2 * k, dtype=np.uint32)
         values[:k] = level
         values[k:] = new
-        return new_idx, new, offsets, values
+        return new, offsets, values
 
     def _level_kernel(self, driver, buf, row_ptr, col_idx, frontier_np, level,
                       visited, injector) -> np.ndarray:

@@ -93,9 +93,6 @@ class EulerSolver:
     def flops_per_step(self) -> int:
         return 120 * self.n * self.n  # ~ops of two flux sweeps + update
 
-    def total_energy(self) -> float:
-        return float(self.state[3].sum())
-
     def total_mass(self) -> float:
         return float(self.state[0].sum())
 

@@ -60,12 +60,17 @@ def hash64(key: int) -> int:
     return k ^ (k >> 32)
 
 
+#: :func:`hash64_vec`'s constants: a numpy scalar costs more to build than its op.
+_U33, _U29, _U32 = np.uint64(33), np.uint64(29), np.uint64(32)
+_MUL1, _MUL2 = np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53)
+
+
 def hash64_vec(keys: np.ndarray) -> np.ndarray:
     """Vectorized :func:`hash64` (bit-identical, parity-tested)."""
     k = np.asarray(keys, dtype=np.uint64)
-    k = (k ^ (k >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-    k = (k ^ (k >> np.uint64(29))) * np.uint64(0xC4CEB9FE1A85EC53)
-    return k ^ (k >> np.uint64(32))
+    k = (k ^ (k >> _U33)) * _MUL1
+    k = (k ^ (k >> _U29)) * _MUL2
+    return k ^ (k >> _U32)
 
 
 def _pack_entry(set_idx: int, way: int, old_key: int, old_value: int) -> np.ndarray:
@@ -75,6 +80,16 @@ def _pack_entry(set_idx: int, way: int, old_key: int, old_value: int) -> np.ndar
     entry[8:16] = np.frombuffer(np.uint64(old_key).tobytes(), dtype=np.uint8)
     entry[16:24] = np.frombuffer(np.uint64(old_value).tobytes(), dtype=np.uint8)
     return entry
+
+
+def _pack_entries(set_idxs, ways, old_keys, old_values) -> np.ndarray:
+    """Vectorized :func:`_pack_entry`: one entry per row, as ``(k, 6)``
+    uint32 chunks (a ``uint64`` view: set and way share the first word)."""
+    entries = np.empty((len(set_idxs), 3), dtype=np.uint64)
+    entries[:, 0] = set_idxs | ways << 32
+    entries[:, 1] = old_keys
+    entries[:, 2] = old_values
+    return entries.view(np.uint32)
 
 
 def _unpack_entry(raw: np.ndarray) -> tuple[int, int, int, int]:
@@ -135,11 +150,11 @@ def set_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
 
     Slot selection is the one sequential hazard: an earlier thread's insert
     can consume the empty way a later thread in the same warp would pick,
-    so the selection loop walks lanes in thread order over the *live*
-    table view, applying each lane's key/value as it goes (reads metered
-    through :meth:`~repro.gpu.warp.WarpContext.meter_loads`).  Everything
-    else - batch reads, undo-log insert, table stores, persists, mirror
-    maintenance - runs as whole-warp vector batches.
+    so a warp with two lanes in one set walks its lanes in thread order
+    over the *live* table view, applying each lane's key/value as it goes
+    (reads metered through :meth:`~repro.gpu.warp.WarpContext.meter_loads`).
+    Everything else - batch reads, undo-log insert, table stores, persists,
+    mirror maintenance - runs as whole-warp vector batches.
     """
     sel = wctx.active(wctx.global_ids < n_ops)
     if sel.size == 0:
@@ -155,21 +170,24 @@ def set_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
     wctx.meter_loads(values.region, k, 8)        # the per-thread old-value read
     keys_live = keys.np
     values_live = values.np
-    if np.unique(bases).size == k:
+    base_list = bases.tolist()
+    if len(set(base_list)) == k:
         # No two lanes share a set: selection is hazard-free, vectorize it.
         rows = keys_live[(bases[:, None] + np.arange(ways)).reshape(-1)]
         rows = rows.reshape(k, ways)
-        m = rows == bkeys[:, None]
-        e = rows == 0
-        evict = (hash64_vec(bkeys ^ np.uint64(0x9E3779B97F4A7C15))
-                 % np.uint64(ways)).astype(np.int64)
-        ways_chosen = np.where(m.any(axis=1), m.argmax(axis=1),
-                               np.where(e.any(axis=1), e.argmax(axis=1), evict))
+        # Per way: 2 for the key itself, 1 for an empty way; argmax takes
+        # the first best way, as the scalar scans do.
+        score = 2 * (rows == bkeys[:, None]) + (rows == 0)
+        ways_chosen = score.argmax(axis=1)
+        full = ~score.any(axis=1)
+        if full.any():
+            # No match and no empty way: evict a pseudo-random way.
+            ways_chosen[full] = (
+                hash64_vec(bkeys[full] ^ np.uint64(0x9E3779B97F4A7C15))
+                % np.uint64(ways)).astype(np.int64)
         locs = bases + ways_chosen
-        old_keys = rows[np.arange(k), ways_chosen]
-        old_values = values_live[locs].copy()
-        keys_live[locs] = bkeys
-        values_live[locs] = bvals
+        old_keys = keys_live[locs]
+        old_values = values_live[locs]
     else:
         locs = np.empty(k, dtype=np.int64)
         ways_chosen = np.empty(k, dtype=np.int64)
@@ -179,7 +197,7 @@ def set_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
         val_list = bvals.tolist()
         for j in range(k):
             key = key_list[j]
-            base = int(bases[j])
+            base = base_list[j]
             row = keys_live[base:base + ways]
             loc = -1
             for w in range(ways):
@@ -200,20 +218,14 @@ def set_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
             values_live[base + loc] = val_list[j]
             locs[j] = base + loc
     if log is not None:
-        entries = np.empty((k, 6), dtype=np.uint32)
-        entries[:, 0] = set_idxs.astype(np.uint32)
-        entries[:, 1] = ways_chosen.astype(np.uint32)
-        entries[:, 2] = (old_keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        entries[:, 3] = (old_keys >> np.uint64(32)).astype(np.uint32)
-        entries[:, 4] = (old_values & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        entries[:, 5] = (old_values >> np.uint64(32)).astype(np.uint32)
-        log.insert_warp(wctx, entries, lanes=sel)
+        log.insert_warp(wctx, _pack_entries(set_idxs, ways_chosen, old_keys,
+                                            old_values), lanes=sel)
     keys.write_warp(wctx, locs, bkeys, lanes=sel)
     values.write_warp(wctx, locs, bvals, lanes=sel)
     wctx.persist(sel)
     mirror_keys.write_warp(wctx, locs, bkeys, lanes=sel)
     mirror_values.write_warp(wctx, locs, bvals, lanes=sel)
-    touched.extend(int(x) for x in locs)
+    touched.extend(locs.tolist())
 
 
 def get_kernel(ctx, mirror_keys, mirror_values, batch_keys, out, n_ops, n_sets, ways):
@@ -315,7 +327,8 @@ def delete_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
     wctx.meter_loads(keys.region, k, 8 * ways)  # the per-thread row read_vec
     keys_live = keys.np
     values_live = values.np
-    if np.unique(bases).size == k:
+    base_list = bases.tolist()
+    if len(set(base_list)) == k:
         # No two lanes share a set: the searches are independent.
         rows = keys_live[(bases[:, None] + np.arange(ways)).reshape(-1)]
         match = rows.reshape(k, ways) == bkeys[:, None]
@@ -327,7 +340,7 @@ def delete_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
         hit_locs: list[int] = []
         hit_values: list[int] = []
         for j, key in enumerate(bkeys.tolist()):
-            base = int(bases[j])
+            base = base_list[j]
             hits = np.flatnonzero(keys_live[base:base + ways] == key)
             if hits.size:
                 loc = base + int(hits[0])
@@ -344,15 +357,9 @@ def delete_warp(wctx, keys, values, mirror_keys, mirror_values, batch_keys,
     n_found = lanes.size
     if log is not None:
         wctx.meter_loads(values.region, n_found, 8)  # the old-value read
-        old_keys = bkeys[found]
-        entries = np.empty((n_found, 6), dtype=np.uint32)
-        entries[:, 0] = set_idxs[found].astype(np.uint32)
-        entries[:, 1] = (locs - bases[found]).astype(np.uint32)
-        entries[:, 2] = (old_keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        entries[:, 3] = (old_keys >> np.uint64(32)).astype(np.uint32)
-        entries[:, 4] = (old_values & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        entries[:, 5] = (old_values >> np.uint64(32)).astype(np.uint32)
-        log.insert_warp(wctx, entries, lanes=lanes)
+        log.insert_warp(wctx, _pack_entries(set_idxs[found], locs - bases[found],
+                                            bkeys[found], old_values),
+                        lanes=lanes)
     zeros = np.zeros(n_found, dtype=np.uint64)
     keys.write_warp(wctx, locs, zeros, lanes=lanes)
     values.write_warp(wctx, locs, zeros, lanes=lanes)

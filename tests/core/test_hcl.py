@@ -13,6 +13,8 @@ from repro.core import (
     persist_window,
 )
 from repro.core.hcl import _STRIPE, HclLog
+from repro.gpu.warp import scalar_lane, vectorized_for
+from repro.sim import event_to_record
 
 
 class TestEntryChunks:
@@ -208,3 +210,63 @@ class TestFailureAtomicity:
         system.gpu.launch(k, 1, 32, (log,))
         system.crash()
         assert HclLog(log.gpm).host_tail(0) == 0
+
+
+def _skip_kernel(ctx, log):
+    """Scalar reference: no thread of the launch inserts."""
+
+
+@vectorized_for(_skip_kernel)
+def _skip_kernel_warp(wctx, log):
+    acct = wctx._engine.acct
+    before = (acct.ops, acct.host_read_bytes, acct.fences)
+    log.insert_warp(wctx, np.empty((0, 6), dtype=np.uint32),
+                    lanes=np.zeros(wctx.n, dtype=bool))
+    assert (acct.ops, acct.host_read_bytes, acct.fences) == before
+    assert wctx._pending == []
+
+
+class TestWarpInsertNoLanes:
+    def _launch(self, system, log, grid, forced_scalar):
+        events = []
+        system.events.subscribe(lambda ts, ev: events.append(event_to_record(ts, ev)))
+        with persist_window(system):
+            if forced_scalar:
+                with scalar_lane():
+                    result = system.gpu.launch(_skip_kernel, grid, 32, (log,))
+            else:
+                result = system.gpu.launch(_skip_kernel, grid, 32, (log,))
+        return result, events
+
+    @pytest.mark.parametrize("grid", [1, 2], ids=["in-geometry", "past-geometry"])
+    def test_no_participating_lanes_is_a_no_op(self, grid):
+        """No load, store or fence - and, as no scalar thread inserts, no
+        geometry check either (block 1 lies past the one-block log)."""
+        from repro import System
+
+        runs = []
+        for forced_scalar in (True, False):
+            system = System()
+            log = gpmlog_create_hcl(system, "/pm/l", 1 << 16, 1, 32)
+            result, events = self._launch(system, log, grid, forced_scalar)
+            runs.append((result, events, log.gpm.region.visible.copy()))
+            assert not log.host_tails(persisted=False).any()
+        (rs, ev_s, img_s), (rw, ev_w, img_w) = runs
+        assert (rs.lane, rw.lane) == ("scalar", "warp")
+        assert rs.accounting == rw.accounting
+        assert rw.accounting.fences == 0 and rw.accounting.host_read_bytes == 0
+        assert ev_s == ev_w
+        assert np.array_equal(img_s, img_w)
+
+    def test_entry_count_must_match_lanes(self, system):
+        log = gpmlog_create_hcl(system, "/pm/l", 1 << 16, 1, 32)
+
+        def k(ctx):
+            pass
+
+        @vectorized_for(k)
+        def k_warp(wctx):
+            with pytest.raises(GpmError, match="0 entries for 32"):
+                log.insert_warp(wctx, np.empty((0, 6), dtype=np.uint32))
+
+        assert system.gpu.launch(k, 1, 32).lane == "warp"

@@ -1,5 +1,6 @@
 """Dim3 and thread-identity math."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.hierarchy import Dim3, ThreadId, warps_in_block, warps_in_grid
@@ -36,6 +37,43 @@ class TestDim3:
 
     def test_iter(self):
         assert tuple(Dim3(1, 2, 3)) == (1, 2, 3)
+
+    @pytest.mark.parametrize("dims", [np.int64(2), np.int32(2), np.uint8(2)],
+                             ids=["int64", "int32", "uint8"])
+    def test_of_numpy_integer(self, dims):
+        d = Dim3.of(dims)
+        assert d == Dim3(2)
+        assert type(d.x) is int
+
+    def test_of_tuple_of_numpy_integers(self):
+        d = Dim3.of((np.int64(2), np.int32(3)))
+        assert d == Dim3(2, 3)
+        assert all(type(v) is int for v in d)
+
+    @pytest.mark.parametrize("dims", [2.0, np.float64(2.0), "2", None, (2.0, 1)],
+                             ids=["float", "np-float", "str", "none", "tuple-float"])
+    def test_of_rejects_non_integers(self, dims):
+        with pytest.raises(TypeError, match="must be at most three integers, got") as info:
+            Dim3.of(dims)
+        assert "\n" not in str(info.value)
+        assert repr(2.0 if isinstance(dims, tuple) else dims) in str(info.value)
+
+    def test_launch_takes_numpy_integer_extents(self):
+        from repro.workloads.base import Mode, make_system
+
+        system = make_system(Mode.GPM)
+        seen = []
+        result = system.gpu.launch(lambda ctx: seen.append(ctx.global_id),
+                                   np.int64(2), np.int32(3))
+        assert result.threads == 6 and result.warps == 2
+        assert seen == list(range(6))
+
+    def test_launch_rejects_float_extent(self):
+        from repro.workloads.base import Mode, make_system
+
+        system = make_system(Mode.GPM)
+        with pytest.raises(TypeError, match="got 2.0"):
+            system.gpu.launch(lambda ctx: None, 2.0, 32)
 
 
 class TestThreadId:

@@ -131,3 +131,116 @@ def test_lane_mask_of_partial_warp_uses_its_lane_count():
         wctx.active(np.ones(32, dtype=bool))
     # Integer lanes are taken as given (no mask-length check).
     assert wctx.active([5, 7]).tolist() == [5, 7]
+
+
+# -- lane-subset fences --------------------------------------------------------
+#
+# The warp lane keeps one lane group at one round and every other lane at a
+# base round, and builds per-lane rounds only when a fence names a different
+# lane set.  The kernel below walks every transition of that state against
+# the scalar lane: a whole-warp fence first (so the base round is not 0),
+# repeated fences of one subset with only its stores pending (one-pass
+# drain) and with another subset's stores pending (masked drain), a fence
+# naming the group through an equal mask, stores of part of the group, a
+# switch to a second subset (per-lane fallback) or straight to a
+# whole-warp fence (fallback from the group state), the closing whole-warp
+# fence, and a last store that only retirement drains.
+
+_A, _B, _C = slice(0, 8), slice(16, 24), slice(24, 32)
+_SUBSET_WORDS = 16 * 32
+
+
+def _subset_offset(slot, i):
+    return (slot * 32 + i) * 4
+
+
+def subset_fence_kernel(ctx, pm, switch):
+    i = ctx.global_id
+    in_a, in_b, in_c = 0 <= i < 8, 16 <= i < 24, 24 <= i
+    ctx.store(pm, _subset_offset(0, i), i, np.uint32)
+    ctx.persist()                   # whole warp
+    if in_a:
+        for r in (1, 2):            # only the group's stores pending
+            ctx.store(pm, _subset_offset(r, i), 100 * r + i, np.uint32)
+            ctx.persist()
+    if in_b:
+        ctx.store(pm, _subset_offset(3, i), 300 + i, np.uint32)
+    if in_a:
+        ctx.store(pm, _subset_offset(4, i), 400 + i, np.uint32)
+        ctx.persist()               # B's store stays pending
+        if i < 4:
+            ctx.store(pm, _subset_offset(5, i), 500 + i, np.uint32)
+        ctx.persist()               # the group again, through a mask
+    if switch:
+        if in_b:
+            ctx.persist()           # a second subset
+        if in_a:
+            ctx.store(pm, _subset_offset(6, i), 600 + i, np.uint32)
+            ctx.persist()
+    ctx.store(pm, _subset_offset(7, i), 700 + i, np.uint32)
+    ctx.persist()                   # whole warp
+    if in_c:
+        ctx.store(pm, _subset_offset(8, i), 800 + i, np.uint32)
+    if in_a:
+        ctx.persist()               # C's store waits for retirement
+
+
+@vectorized_for(subset_fence_kernel)
+def subset_fence_kernel_warp(wctx, pm, switch):
+    every = wctx.lanes
+    a, b, c = every[_A], every[_B], every[_C]
+    wctx.store(pm, _subset_offset(0, every), every, np.uint32)
+    wctx.persist()
+    for r in (1, 2):
+        wctx.store(pm, _subset_offset(r, a), 100 * r + a, np.uint32, lanes=a)
+        wctx.persist(a)
+    wctx.store(pm, _subset_offset(3, b), 300 + b, np.uint32, lanes=b)
+    wctx.store(pm, _subset_offset(4, a), 400 + a, np.uint32, lanes=a)
+    wctx.persist(a)
+    part = a[:4].copy()
+    wctx.store(pm, _subset_offset(5, part), 500 + part, np.uint32, lanes=part)
+    mask = np.zeros(wctx.n, dtype=bool)
+    mask[_A] = True
+    wctx.persist(mask)
+    if switch:
+        wctx.persist(b)
+        wctx.store(pm, _subset_offset(6, a), 600 + a, np.uint32, lanes=a)
+        wctx.persist(a)
+    wctx.store(pm, _subset_offset(7, every), 700 + every, np.uint32)
+    wctx.persist()
+    wctx.store(pm, _subset_offset(8, c), 800 + c, np.uint32, lanes=c)
+    wctx.persist(a)
+
+
+def _subset_launch(mode, switch, forced_scalar):
+    system = make_system(mode)
+    pm = system.machine.alloc_pm("pm", _SUBSET_WORDS * 4)
+    events = []
+    system.events.subscribe(lambda ts, ev: events.append(event_to_record(ts, ev)))
+    with persist_window(system):
+        if forced_scalar:
+            with scalar_lane():
+                result = system.gpu.launch(subset_fence_kernel, 1, 32, (pm, switch))
+        else:
+            result = system.gpu.launch(subset_fence_kernel, 1, 32, (pm, switch))
+    return result, events, pm.visible.copy(), pm.persisted.copy()
+
+
+@pytest.mark.parametrize("switch", [True, False], ids=["switch-subset", "group-then-warp"])
+@pytest.mark.parametrize("mode", [Mode.GPM, Mode.GPM_EPOCH, Mode.GPM_RELAXED,
+                                  Mode.GPM_ADAPTIVE], ids=lambda m: m.value)
+def test_lane_subset_fences_match_scalar(mode, switch):
+    rs, ev_s, vis_s, per_s = _subset_launch(mode, switch, True)
+    rw, ev_w, vis_w, per_w = _subset_launch(mode, switch, False)
+    assert (rs.lane, rw.lane) == ("scalar", "warp")
+    assert rs.accounting == rw.accounting
+    assert rs.elapsed == rw.elapsed
+    assert ev_s == ev_w
+    assert any(e["event"] == "warp_drain" for e in ev_w)
+    assert np.array_equal(vis_s, vis_w)
+    assert np.array_equal(per_s, per_w)
+    # Every store drained (the last at retirement), so every word is durable.
+    words = per_w.view(np.uint32).reshape(-1, 32)
+    assert words[7].tolist() == [700 + i for i in range(32)]
+    assert words[3, _B].tolist() == [300 + i for i in range(16, 24)]
+    assert words[8, _C].tolist() == [800 + i for i in range(24, 32)]
