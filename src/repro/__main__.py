@@ -236,6 +236,28 @@ def _cmd_check_litmus_replay(args) -> int:
     return 0 if not failed else 1
 
 
+def _check_litmus_flags(args) -> None:
+    """Reject litmus replay flags that would be ignored or fail mid-run."""
+    from .check.litmus import parse_config_point
+    from .sim.persistency import SENTINEL_MUTANTS
+
+    for flag in ("mutant", "litmus_config"):
+        if getattr(args, flag) is not None and not args.litmus_replay:
+            raise SystemExit(f"check: --{flag.replace('_', '-')} applies only "
+                             f"with --litmus-replay SEED:INDEX")
+    if args.frontier and args.litmus and not args.litmus_replay:
+        raise SystemExit("check: --frontier applies to a target or to "
+                         "--litmus-replay SEED:INDEX, not to --litmus N")
+    if args.mutant is not None and args.mutant not in SENTINEL_MUTANTS:
+        raise SystemExit(f"check: unknown --mutant {args.mutant!r} "
+                         f"(one of: {', '.join(SENTINEL_MUTANTS)})")
+    if args.litmus_config is not None:
+        try:
+            parse_config_point(args.litmus_config)
+        except ValueError as exc:
+            raise SystemExit(f"check: {exc}")
+
+
 def _cmd_check(args) -> int:
     from .check import explore, make_oracle, parse_frontier
     from .check.explorer import explore_frontier
@@ -252,6 +274,7 @@ def _cmd_check(args) -> int:
         frontier = parse_frontier(args.frontier) if args.frontier else None
     except ValueError as exc:
         raise SystemExit(f"check: {exc}")
+    _check_litmus_flags(args)
     if args.litmus_replay:
         return _cmd_check_litmus_replay(args)
     if args.litmus:

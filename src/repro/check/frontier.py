@@ -89,16 +89,26 @@ class FrontierRecorder:
     retired-thread counts form an unfenced window; up to ``window_samples``
     representative counts per window (first, middle, last - deterministic)
     become ``threads`` frontiers.
+
+    With a ``snapshot`` callable, every event frontier also records
+    ``snapshot()`` in :attr:`image_census` at its ordinal, taken as the
+    event is emitted.  An ``arm_at_frontier`` crash fires at that same
+    moment, before the event's side effect, so a snapshot of the durable
+    images (:meth:`repro.sim.machine.Machine.durable_image`) is the crash
+    state of that frontier without a replay.
     """
 
     #: the injector protocol ``Gpu.launch`` reads: thread-count windows
     #: need per-thread retirement, so recorded launches run scalar
     needs_scalar_lane = True
 
-    def __init__(self, window_samples: int = 3) -> None:
+    def __init__(self, window_samples: int = 3, snapshot=None) -> None:
         if window_samples < 1:
             raise ValueError("window_samples must be >= 1")
         self.window_samples = window_samples
+        self._snapshot = snapshot
+        #: ``snapshot()`` at each event frontier, indexed by its ordinal
+        self.image_census: list = []
         self._event_frontiers: list[Frontier] = []
         self._thread_frontiers: list[Frontier] = []
         self._ordinal = 0
@@ -130,6 +140,8 @@ class FrontierRecorder:
         self._event_frontiers.append(Frontier(
             "event", self._ordinal, kind, type(event).etype
         ))
+        if self._snapshot is not None:
+            self.image_census.append(self._snapshot())
         self._ordinal += 1
 
     def _close_window(self) -> None:

@@ -29,6 +29,13 @@ engine's drain bookkeeping):
   false) must instead show an *empty* durable set - the litmus writes are
   far too small to force capacity evictions.
 
+The crash states at event frontiers come from the same reference run that
+records the frontiers: an event frontier crashes while its event is
+emitted, before its side effect, so the run snapshots every region's
+durable image at each one (the **image census**, see
+:func:`record_frontiers`).  Only thread-count frontiers and ``--frontier``
+reproducers replay a crash (:func:`crash_images`).
+
 A :class:`LitmusExplorer` fans each generated test out across the full
 config matrix - every registered persistency model x DDIO window on/off x
 eADR - through the experiment engine's fork fan-out and disk cache
@@ -128,13 +135,13 @@ class ConfigPoint:
 def parse_config_point(spec: str) -> ConfigPoint:
     """Parse a ``model:window|nowindow:eadr|adr`` config spec."""
     parts = spec.split(":")
+    known = ", ".join(sorted(MODEL_REGISTRY))
     if (len(parts) != 3 or parts[1] not in ("window", "nowindow")
             or parts[2] not in ("eadr", "adr")):
         raise ValueError(
             f"bad litmus config {spec!r}: expected "
-            f"'<model>:window|nowindow:eadr|adr'")
+            f"'<model>:window|nowindow:eadr|adr', <model> one of: {known}")
     if parts[0] not in MODEL_REGISTRY:
-        known = ", ".join(sorted(MODEL_REGISTRY))
         raise ValueError(
             f"bad litmus config {spec!r}: unknown model {parts[0]!r} "
             f"(one of: {known})")
@@ -649,15 +656,25 @@ def _staged_flush_violations(test: LitmusTest, plan: list[LitmusWrite],
 
 
 def record_frontiers(test: LitmusTest, point: ConfigPoint):
-    """The uninjected reference run: its frontiers and final regions."""
+    """The uninjected reference run: its frontiers, final regions and image census.
+
+    The image census holds, at each event frontier's ordinal, the durable
+    u32 image of every region that a crash at that frontier leaves - what
+    :func:`crash_images` replays to get.
+    """
     system, regions = _build(test, point)
-    recorder = FrontierRecorder(window_samples=2)
+    machine = system.machine
+
+    def snapshot() -> dict[int, np.ndarray]:
+        return {i: _image_u32(machine.durable_image(r)) for i, r in enumerate(regions)}
+
+    recorder = FrontierRecorder(window_samples=2, snapshot=snapshot)
     system.events.subscribe(recorder.observe)
     try:
         _run(system, test, regions, recorder, point.window)
     finally:
         system.events.unsubscribe(recorder.observe)
-    return recorder.frontiers(), regions
+    return recorder.frontiers(), regions, recorder.image_census
 
 
 def crash_images(test: LitmusTest, point: ConfigPoint,
@@ -666,7 +683,8 @@ def crash_images(test: LitmusTest, point: ConfigPoint,
 
     Returns ``None`` when the armed frontier never fired.  An event
     frontier replays on the warp lane (every generated kernel has a twin),
-    a thread-count frontier on the scalar lane.
+    a thread-count frontier on the scalar lane.  The reference path: the
+    campaign reads event frontiers from the image census instead.
     """
     system, regions = _build(test, point)
     injector = CrashInjector(system.machine)
@@ -685,13 +703,21 @@ def crash_images(test: LitmusTest, point: ConfigPoint,
 
 
 def _explore_one(test: LitmusTest, point: ConfigPoint, model,
-                 plan: list[LitmusWrite],
-                 frontier: Frontier) -> list[tuple[str, str]]:
-    """Crash a fresh system at one frontier and judge the durable state."""
+                 plan: list[LitmusWrite], frontier: Frontier,
+                 image_census: list | None) -> list[tuple[str, str]]:
+    """Judge the durable state a crash at one frontier leaves.
+
+    An event frontier reads its images from the reference run's
+    ``image_census``; a thread-count frontier, or any frontier when
+    ``image_census`` is ``None``, is replayed through :func:`crash_images`.
+    """
     if frontier.mechanism not in ("event", "threads"):
         return [("litmus-replay",
                  f"unknown frontier mechanism {frontier.mechanism!r}")]
-    images = crash_images(test, point, frontier)
+    if image_census is not None and frontier.mechanism == "event":
+        images = image_census[frontier.value]
+    else:
+        images = crash_images(test, point, frontier)
     if images is None:
         return [("litmus-determinism",
                  f"armed frontier {frontier.spec()} never fired")]
@@ -705,10 +731,12 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
 
     Module-level, picklable, and a pure function of its arguments (the
     sentinel ``mutant`` ships by name and is armed only for this scope):
-    one uninjected reference run (frontier recording + census + completion
-    checks), then a crash exploration of the recorded frontiers - all of
-    them for the ordering-sensitive kinds, a pruned sample elsewhere, or
-    exactly ``frontier_spec`` when replaying one reported violation.
+    one uninjected reference run (frontier recording + census + image
+    census + completion checks), then a crash exploration of the recorded
+    frontiers - all of them for the ordering-sensitive kinds, a pruned
+    sample elsewhere, or exactly ``frontier_spec`` when replaying one
+    reported violation.  Event frontiers are judged from the image census;
+    thread-count frontiers and ``frontier_spec`` are replayed.
     Returns a JSON-serializable verdict payload.
     """
     test = LitmusTest.from_payload(test_payload)
@@ -723,7 +751,7 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
 
     with sentinel_mutant(mutant):
         # -- reference run: frontiers, census, completion -----------------
-        frontiers, regions = record_frontiers(test, point)
+        frontiers, regions, image_census = record_frontiers(test, point)
         counts: dict[str, int] = {}
         for f in frontiers:
             counts[f.kind] = counts.get(f.kind, 0) + 1
@@ -764,11 +792,14 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
                                 f"the persist window closed")
         # -- crash exploration --------------------------------------------
         if frontier_spec is not None:
+            # A reproducer replays its crash, the reference path.
             chosen = [parse_frontier(frontier_spec)]
+            image_census = None
         else:
             chosen = select_frontiers(frontiers, max_frontiers)
         for frontier in chosen:
-            for name, detail in _explore_one(test, point, model, plan, frontier):
+            for name, detail in _explore_one(test, point, model, plan,
+                                             frontier, image_census):
                 violate(frontier.spec(), name, detail)
 
     return {

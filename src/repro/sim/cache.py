@@ -221,18 +221,8 @@ class LastLevelCache:
         Natural evictions are asynchronous background traffic; they persist
         data functionally but are not charged to any foreground timeline.
         """
-        if self._bases_arr is None:
-            self._bases_arr = np.asarray(self._bases, dtype=np.int64)
-        blocks = self._bases_arr.searchsorted(gids, side="right") - 1
-        cuts = (blocks[1:] != blocks[:-1]).nonzero()[0] + 1
-        bounds = [0, *cuts.tolist(), gids.size]
         stamp, emit = self._stamp, self._events.emit
-        for lo, hi in zip(bounds, bounds[1:]):
-            block = int(blocks[lo])
-            region = self._owners[block]
-            run = gids[lo:hi]
-            starts = (run - self._bases[block]) * self._line
-            sizes = np.minimum(self._line, region.size - starts)
+        for region, run, starts, sizes in self._runs(gids):
             epochs = self._optane.line_epochs(region, starts, sizes)
             persisted, visible = region.persisted, region.visible
             for gid, start, end, epoch in zip(run.tolist(), starts.tolist(),
@@ -242,6 +232,24 @@ class LastLevelCache:
                     self._count -= 1
                 persisted[start:end] = visible[start:end]
                 emit(epoch)
+
+    def _runs(self, gids: np.ndarray):
+        """Split ``gids`` into same-region runs, keeping their order.
+
+        Yields ``(region, run, starts, sizes)``: the run's gids and each
+        line's byte offset and size within the region (a region's last
+        line may be short).
+        """
+        if self._bases_arr is None:
+            self._bases_arr = np.asarray(self._bases, dtype=np.int64)
+        blocks = self._bases_arr.searchsorted(gids, side="right") - 1
+        cuts = (blocks[1:] != blocks[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), gids.size]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = int(blocks[lo])
+            region = self._owners[block]
+            starts = (gids[lo:hi] - self._bases[block]) * self._line
+            yield region, gids[lo:hi], starts, np.minimum(self._line, region.size - starts)
 
     # -- the arrays behind the dirty set ---------------------------------
 
@@ -389,6 +397,35 @@ class LastLevelCache:
         PM on power failures").
         """
         if eadr and self._count:
-            self._drain(self._oldest(self._count)[0], pop=False)
+            self._drain(self._crash_lines(), pop=False)
         self._stamp.fill(0)
         self._head = self._tail = self._count = 0
+
+    def _crash_lines(self, region: Region | None = None) -> np.ndarray:
+        """The lines an eADR crash writes back, oldest first.
+
+        Every dirty line, or only ``region``'s when one is given.
+        """
+        gids = self._oldest(self._count)[0]
+        if region is not None:
+            base, n_lines, _ = self._blocks[region.token]
+            gids = gids[(gids >= base) & (gids < base + n_lines)]
+        return gids
+
+    def durable_image(self, region: Region, eadr: bool) -> np.ndarray:
+        """A copy of ``region``'s persisted bytes as :meth:`crash` would leave them.
+
+        Under eADR the bytes of the region's dirty lines are overlaid from
+        ``visible``, as the crash drain writes them back.  Changes nothing:
+        no event, no Optane epoch, no stamp.
+        """
+        image = region.persisted.copy()
+        if eadr and self._count and region.token in self._blocks:
+            gids = self._crash_lines(region)
+            if gids.size:
+                # One region's lines: a single run.
+                _, _, starts, sizes = next(self._runs(gids))
+                visible = region.visible
+                for start, end in zip(starts.tolist(), (starts + sizes).tolist()):
+                    image[start:end] = visible[start:end]
+        return image

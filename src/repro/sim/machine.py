@@ -245,6 +245,17 @@ class Machine:
 
     # -- failure ----------------------------------------------------------
 
+    def durable_image(self, region: Region) -> np.ndarray:
+        """The bytes PM ``region`` would hold if the machine crashed now.
+
+        Equals ``region.persisted`` after :meth:`crash`, without crashing:
+        it emits no event, advances no clock and leaves the LLC and the
+        Optane stream as they are.  Returns a copy.
+        """
+        if region.persisted is None:
+            raise TypeError(f"region {region.name!r} is volatile and has no durable image")
+        return self.llc.durable_image(region, self.eadr)
+
     def crash(self) -> None:
         """Simulate a power failure / fail-stop crash.
 

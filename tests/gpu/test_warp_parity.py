@@ -435,7 +435,9 @@ def test_litmus_kernels_lane_parity(index, spec):
 def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
     # Event-frontier replays of the litmus fuzzer take the warp lane; the
     # durable image at every frontier execute_point selects must equal the
-    # scalar lane's, so the outcome oracle judges the same states.
+    # scalar lane's.  The campaign judges event frontiers from the image
+    # census of the (scalar) reference run and replays none of them, so
+    # this test is where the census meets both lanes' replays.
     from repro.check.litmus import (
         DEFAULT_LITMUS_FRONTIERS,
         crash_images,
@@ -456,9 +458,9 @@ def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
 
     monkeypatch.setattr(device, "resolve_warp_impl", spy)
     point = parse_config_point(spec)
-    warp_replays = 0
+    warp_replays = census_checked = 0
     for test in generate_tests(42, 2):
-        frontiers, _ = record_frontiers(test, point)
+        frontiers, _, image_census = record_frontiers(test, point)
         for frontier in select_frontiers(frontiers, DEFAULT_LITMUS_FRONTIERS):
             lanes.clear()
             default = crash_images(test, point, frontier)
@@ -472,10 +474,23 @@ def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
             for r, image in default.items():
                 assert np.array_equal(image, reference[r]), (
                     test.index, frontier.spec(), r)
-    assert warp_replays
+            if frontier.mechanism == "event":
+                census_checked += 1
+                taken = image_census[frontier.value]
+                assert taken.keys() == default.keys()
+                for r, image in taken.items():
+                    assert np.array_equal(image, default[r]), (
+                        "warp", test.index, frontier.spec(), r)
+                    assert np.array_equal(image, reference[r]), (
+                        "scalar", test.index, frontier.spec(), r)
+    assert warp_replays and census_checked
 
 
 def test_litmus_sentinels_caught_with_warp_lane_replays():
+    # Both sentinel mutants must still be caught now that execute_point
+    # judges event frontiers from the image census (taken on the scalar
+    # reference run) rather than from warp-lane replays; the census itself
+    # is checked against both lanes above.
     from repro.check.litmus import execute_point, generate_tests
     from repro.sim.persistency import SENTINEL_MUTANTS
 

@@ -69,6 +69,24 @@ class TestCli:
          "check: --window-samples must be >= 1"),
         (["check", "kvs", "--window-samples", "-2"],
          "check: --window-samples must be >= 1"),
+        (["check", "kvs", "--mutant", "fence-order"],
+         "check: --mutant applies only with --litmus-replay"),
+        (["check", "kvs", "--litmus-config", "strict:window:adr"],
+         "check: --litmus-config applies only with --litmus-replay"),
+        (["check", "--litmus", "1", "--mutant", "epoch-boundary"],
+         "check: --mutant applies only with --litmus-replay"),
+        (["check", "--litmus", "1", "--litmus-config", "strict:window:adr"],
+         "check: --litmus-config applies only with --litmus-replay"),
+        (["check", "--litmus", "1", "--frontier", "event:3"],
+         "check: --frontier applies to a target or to --litmus-replay"),
+        (["check", "--litmus-replay", "42:0", "--litmus-config", "bogus"],
+         "<model> one of: adaptive, eadr, epoch, relaxed, strict"),
+        (["check", "--litmus-replay", "42:0", "--litmus-config",
+          "nope:window:adr"],
+         "unknown model 'nope' (one of: adaptive, eadr, epoch, relaxed"),
+        (["check", "--litmus-replay", "42:0", "--mutant", "nope"],
+         "check: unknown --mutant 'nope' (one of: fence-order, "
+         "epoch-boundary)"),
     ])
     def test_rejects_bad_flags(self, argv, message, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted run writes here
