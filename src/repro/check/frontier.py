@@ -76,8 +76,8 @@ class FrontierRecorder:
 
     Subscribe it to the machine's event bus *and* pass it wherever the
     workload accepts a ``crash_injector`` (it implements only the passive
-    half of the injector interface, ``advance`` and ``needs_scalar_lane``,
-    and never crashes):
+    half of the injector interface, ``advance`` and ``cuts_warp``, and
+    never crashes):
 
         recorder = FrontierRecorder()
         system.events.subscribe(recorder.observe)
@@ -98,10 +98,6 @@ class FrontierRecorder:
     state of that frontier without a replay.
     """
 
-    #: the injector protocol ``Gpu.launch`` reads: thread-count windows
-    #: need per-thread retirement, so recorded launches run scalar
-    needs_scalar_lane = True
-
     def __init__(self, window_samples: int = 3, snapshot=None) -> None:
         if window_samples < 1:
             raise ValueError("window_samples must be >= 1")
@@ -118,6 +114,13 @@ class FrontierRecorder:
         self._crashed = False
 
     # -- the two observation channels ------------------------------------
+
+    def cuts_warp(self, n_threads: int) -> bool:
+        """Passive ``crash_injector`` hook: never crashes, so never cuts a
+        warp.  Recorded launches take the warp lane, whose plain warps
+        report one-thread retirements, so every window holds the counts
+        the scalar lane produces."""
+        return False
 
     def advance(self, newly_retired: int) -> None:
         """Passive ``crash_injector`` hook: record, never crash."""

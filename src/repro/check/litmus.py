@@ -544,20 +544,33 @@ def _expected_words(test: LitmusTest) -> dict[int, dict[int, int]]:
     return out
 
 
+def _expected_images(expected: dict[int, dict[int, int]]) -> dict[int, np.ndarray]:
+    """region -> u32 image of :func:`_expected_words`, 0 where unwritten."""
+    out = {}
+    for r, words in expected.items():
+        img = np.zeros(REGION_BYTES // 4, dtype=np.uint32)
+        img[list(words)] = list(words.values())
+        out[r] = img
+    return out
+
+
 def _state_violations(test: LitmusTest, point: ConfigPoint, model,
                       plan: list[LitmusWrite], images: dict[int, np.ndarray],
-                      claim: str) -> list[tuple[str, str]]:
+                      claim: str, expected: dict[int, dict[int, int]],
+                      expected_images: dict[int, np.ndarray],
+                      ) -> list[tuple[str, str]]:
     """Judge one post-crash (or completion) durable state.
 
     ``images`` maps region index to its u32 image; ``claim`` labels the
-    state in violation details ("durable"/"visible").  Returns
+    state in violation details ("durable"/"visible").  ``expected`` and
+    ``expected_images`` are the point's :func:`_expected_words` and
+    :func:`_expected_images`, built once per point.  Returns
     ``(invariant-name, detail)`` pairs.
     """
     out: list[tuple[str, str]] = []
-    expected = _expected_words(test)
     # -- value integrity: a word is 0 or its unique assigned value --------
     for r, img in images.items():
-        for word in np.nonzero(img)[0]:
+        for word in np.flatnonzero((img != expected_images[r]) & (img != 0)):
             want = expected[r].get(int(word))
             got = int(img[word])
             if want is None:
@@ -655,12 +668,13 @@ def _staged_flush_violations(test: LitmusTest, plan: list[LitmusWrite],
     return out
 
 
-def record_frontiers(test: LitmusTest, point: ConfigPoint):
+def record_frontiers(test: LitmusTest, point: ConfigPoint, census: bool = True):
     """The uninjected reference run: its frontiers, final regions and image census.
 
     The image census holds, at each event frontier's ordinal, the durable
     u32 image of every region that a crash at that frontier leaves - what
-    :func:`crash_images` replays to get.
+    :func:`crash_images` replays to get.  With ``census=False`` no image
+    is taken and the census is ``None``.
     """
     system, regions = _build(test, point)
     machine = system.machine
@@ -668,23 +682,26 @@ def record_frontiers(test: LitmusTest, point: ConfigPoint):
     def snapshot() -> dict[int, np.ndarray]:
         return {i: _image_u32(machine.durable_image(r)) for i, r in enumerate(regions)}
 
-    recorder = FrontierRecorder(window_samples=2, snapshot=snapshot)
+    recorder = FrontierRecorder(window_samples=2,
+                                snapshot=snapshot if census else None)
     system.events.subscribe(recorder.observe)
     try:
         _run(system, test, regions, recorder, point.window)
     finally:
         system.events.unsubscribe(recorder.observe)
-    return recorder.frontiers(), regions, recorder.image_census
+    return (recorder.frontiers(), regions,
+            recorder.image_census if census else None)
 
 
 def crash_images(test: LitmusTest, point: ConfigPoint,
                  frontier: Frontier) -> dict[int, np.ndarray] | None:
     """Crash a fresh system at one frontier; the durable u32 images.
 
-    Returns ``None`` when the armed frontier never fired.  An event
-    frontier replays on the warp lane (every generated kernel has a twin),
-    a thread-count frontier on the scalar lane.  The reference path: the
-    campaign reads event frontiers from the image census instead.
+    Returns ``None`` when the armed frontier never fired.  Every replay
+    runs on the warp lane (every generated kernel has a twin); a
+    thread-count frontier runs the warp it cuts thread at a time.  The
+    reference path: the campaign reads event frontiers from the image
+    census instead.
     """
     system, regions = _build(test, point)
     injector = CrashInjector(system.machine)
@@ -704,7 +721,8 @@ def crash_images(test: LitmusTest, point: ConfigPoint,
 
 def _explore_one(test: LitmusTest, point: ConfigPoint, model,
                  plan: list[LitmusWrite], frontier: Frontier,
-                 image_census: list | None) -> list[tuple[str, str]]:
+                 image_census: list | None, expected: dict,
+                 expected_images: dict) -> list[tuple[str, str]]:
     """Judge the durable state a crash at one frontier leaves.
 
     An event frontier reads its images from the reference run's
@@ -721,7 +739,8 @@ def _explore_one(test: LitmusTest, point: ConfigPoint, model,
     if images is None:
         return [("litmus-determinism",
                  f"armed frontier {frontier.spec()} never fired")]
-    return _state_violations(test, point, model, plan, images, "durable")
+    return _state_violations(test, point, model, plan, images, "durable",
+                             expected, expected_images)
 
 
 def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None,
@@ -751,7 +770,10 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
 
     with sentinel_mutant(mutant):
         # -- reference run: frontiers, census, completion -----------------
-        frontiers, regions, image_census = record_frontiers(test, point)
+        # A reproducer replays its one crash (the reference path) and
+        # reads no census.
+        frontiers, regions, image_census = record_frontiers(
+            test, point, census=frontier_spec is None)
         counts: dict[str, int] = {}
         for f in frontiers:
             counts[f.kind] = counts.get(f.kind, 0) + 1
@@ -772,6 +794,7 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
         visible = {i: _image_u32(r.visible[:r.size]).copy()
                    for i, r in enumerate(regions)}
         expected = _expected_words(test)
+        expected_images = _expected_images(expected)
         for r, words in expected.items():
             for word, value in words.items():
                 if int(visible[r][word]) != value:
@@ -792,14 +815,13 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
                                 f"the persist window closed")
         # -- crash exploration --------------------------------------------
         if frontier_spec is not None:
-            # A reproducer replays its crash, the reference path.
             chosen = [parse_frontier(frontier_spec)]
-            image_census = None
         else:
             chosen = select_frontiers(frontiers, max_frontiers)
         for frontier in chosen:
             for name, detail in _explore_one(test, point, model, plan,
-                                             frontier, image_census):
+                                             frontier, image_census,
+                                             expected, expected_images):
                 violate(frontier.spec(), name, detail)
 
     return {

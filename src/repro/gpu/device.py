@@ -238,8 +238,9 @@ class _BlockEngine:
             entries = queue[i:j]
             i = j
             # The scalar lane buffers lists of ints, the warp lane lists of
-            # numpy batches; a launch runs one lane, so the first entry
-            # tells the kind.
+            # numpy batches; the warps a launch drains all ran one lane (a
+            # warp a crash cuts runs per thread but dies before its flush),
+            # so the first entry tells the kind.
             warp_lane = isinstance(entries[0][1][0], np.ndarray)
             if warp_lane:
                 segments = sum(b.size for e in entries for b in e[1])
@@ -379,18 +380,19 @@ class Gpu:
         Kernels carrying a warp-level implementation (see
         :func:`repro.gpu.warp.vectorized_for`) execute on the vectorized
         lane - one Python call per warp instead of per thread - with
-        bit-identical accounting, events, and memory images.  The
-        ``crash_injector`` picks the lane by how it is armed, through its
-        ``needs_scalar_lane`` property: an injector armed at an event
-        frontier (``arm_at_frontier``) lets the warp lane run, because a
-        frontier crash fires on a bus event both lanes emit identically;
-        thread-count arming (``arm``/``arm_random``), an unarmed injector
-        and ``repro.check``'s frontier recorder force the scalar lane,
-        because a cut between two threads of one warp needs per-thread
-        retirement.  Under any injector every warp round drains on its own
-        (no deferred queue), so each drain stays its own frontier, and the
-        injector sees the same retired-thread counts on either lane.
-        ``KernelResult.lane`` reports which lane ran.
+        bit-identical accounting, events, and memory images, under any
+        ``crash_injector`` too.  A plain warp reports its retirement to the
+        injector as one-thread retirements, the counts the scalar lane
+        reports, and no event falls between two of them because drains
+        wait for the warp's flush.  Only the one warp that a thread-count
+        crash cuts before its last thread (the injector's ``cuts_warp``)
+        runs thread at a time, through the scalar loop; a cut on a warp's
+        last thread fires in the same ``advance`` on either lane, before
+        the warp's flush.  Under any injector every warp round drains on
+        its own (no deferred queue), so each drain stays its own frontier.
+        ``KernelResult.lane`` reports which lane ran; :func:`scalar_lane
+        <repro.gpu.warp.scalar_lane>` is the only switch that forces the
+        scalar lane.
 
         Raises :class:`~repro.sim.crash.SimulatedCrash` if an armed
         ``crash_injector`` fires mid-launch; simulated time for the partial
@@ -413,9 +415,7 @@ class Gpu:
         acct = LaunchAccounting(ops=compute_ops_per_thread * total_threads)
         engine = _BlockEngine(self.machine, acct, defer=crash_injector is None)
         self.machine.events.emit(KernelLaunch(kind="kernel"))
-        warp_impl = (None if crash_injector is not None
-                     and crash_injector.needs_scalar_lane
-                     else resolve_warp_impl(kernel))
+        warp_impl = resolve_warp_impl(kernel)
         run_as = warp_impl if warp_impl is not None else kernel
         is_generator = inspect.isgeneratorfunction(run_as)
         retired = 0
@@ -425,7 +425,7 @@ class Gpu:
                 shared = shared_factory(block_flat) if shared_factory else {}
                 if warp_impl is not None:
                     retired = self._run_block_warps(
-                        warp_impl, grid_count, block_count, block_flat,
+                        kernel, warp_impl, grid, block, block_flat,
                         shared, args, engine, warp_size, retired,
                         is_generator, crash_injector,
                     )
@@ -477,13 +477,20 @@ class Gpu:
     def _run_block_plain(self, kernel, contexts, args, engine, warp_size, retired, injector):
         for w0 in range(0, len(contexts), warp_size):
             warp_ctxs = contexts[w0 : w0 + warp_size]
-            for ctx in warp_ctxs:
-                kernel(ctx, *args)
-                engine.thread_retired(ctx)
-                retired += 1
-                if injector is not None:
-                    injector.advance(1)
+            retired = self._run_threads(kernel, warp_ctxs, args, engine,
+                                        retired, injector)
             engine.flush_warp(warp_ctxs[0].tid.warp_global)
+        return retired
+
+    @staticmethod
+    def _run_threads(kernel, warp_ctxs, args, engine, retired, injector):
+        """One warp of a plain kernel, thread at a time (the scalar lane)."""
+        for ctx in warp_ctxs:
+            kernel(ctx, *args)
+            engine.thread_retired(ctx)
+            retired += 1
+            if injector is not None:
+                injector.advance(1)
         return retired
 
     def _run_block_generators(self, kernel, contexts, args, engine, retired, injector):
@@ -512,14 +519,17 @@ class Gpu:
             active = still
         return retired
 
-    def _run_block_warps(self, warp_impl, grid_count, block_count, block_flat,
+    def _run_block_warps(self, kernel, warp_impl, grid, block, block_flat,
                          shared, args, engine, warp_size, retired,
                          is_generator, injector):
         """One block on the vectorized lane: one Python call per warp.
 
         Plain warp kernels mirror ``_run_block_plain``: run the warp, move
-        its unfenced stores to the implicit round, advance the injector by
-        the warp's threads, flush.  Generator warp kernels mirror
+        its unfenced stores to the implicit round, advance the injector
+        once per thread, flush.  A warp that an armed thread-count crash
+        cuts before its last thread runs thread at a time instead, through
+        the scalar loop (``_run_threads``) on the same engine and shared
+        object; the crash fires inside it.  Generator warp kernels mirror
         ``_run_block_generators``: every warp advances to the barrier, then
         the block-wide ``flush_all`` delivers all fenced batches in program
         order before the injector advances by the threads that finished -
@@ -529,6 +539,7 @@ class Gpu:
         # Thread ids are slices of one shared read-only ramp over the grid,
         # not per-warp arithmetic: lanes w0..end of the block, and of the
         # grid from the block's base.
+        grid_count, block_count = grid.count, block.count
         base = block_flat * block_count
         ramp = iota64(grid_count * block_count)
         first_warp = block_flat * ((block_count + warp_size - 1) // warp_size)
@@ -540,11 +551,21 @@ class Gpu:
                 ramp[w0:end], ramp[base + w0:base + end], shared, engine))
         if not is_generator:
             for wctx in contexts:
-                warp_impl(wctx, *args)
-                wctx._retire()
-                retired += wctx.n
-                if injector is not None:
-                    injector.advance(wctx.n)
+                n = wctx.n
+                if injector is not None and injector.cuts_warp(n):
+                    w0 = wctx.warp_in_block * warp_size
+                    retired = self._run_threads(kernel, [
+                        ThreadContext(ThreadId(grid, block, block_flat, t,
+                                               warp_size), shared, engine)
+                        for t in range(w0, w0 + n)
+                    ], args, engine, retired, injector)
+                else:
+                    warp_impl(wctx, *args)
+                    wctx._retire()
+                    retired += n
+                    if injector is not None:
+                        for _ in range(n):
+                            injector.advance(1)
                 engine.flush_warp(wctx.warp_global)
             return retired
         running = [(wctx, warp_impl(wctx, *args)) for wctx in contexts]

@@ -21,15 +21,17 @@ Equivalence is by construction, not by re-modelling:
 
 Kernels opt in by attaching a warp-level implementation to the scalar
 callable with :func:`vectorized_for`; the scalar body remains the reference.
-Under crash injection the injector's arming picks the lane (its
-``needs_scalar_lane`` property): a crash armed at an event frontier fires
-on a bus event both lanes emit identically, so those replays take the warp
-lane; thread-count arming, an unarmed injector and the frontier recorder
-keep the scalar lane, because a cut between two threads of one warp needs
-per-thread retirement.  The parity suite in
+Crash injection keeps the warp lane.  A plain warp reports its retirement
+to the injector as one-thread retirements, the counts the scalar lane
+reports, with no event between them (drains wait for the warp's flush), so
+the frontier recorder's unfenced windows come out the same.  Only the warp
+that an armed thread-count crash cuts before its last thread runs thread
+at a time, through the scalar body; event-frontier crashes fire on bus
+events both lanes emit identically.  The parity suite in
 ``tests/gpu/test_warp_parity.py`` holds the two lanes bit-identical on every
 converted workload, and ``tests/check/test_lane_differential.py`` holds
-event-frontier replays identical to their scalar reference.
+crash replays and recorded frontier lists identical to their scalar
+reference.
 """
 
 from __future__ import annotations
@@ -58,9 +60,8 @@ def vectorized_for(scalar_kernel):
     with the same extra arguments as the scalar kernel; if it is a generator
     function, each ``yield`` is the block-wide barrier, mirroring the scalar
     convention.  The scalar callable stays the reference semantics - it runs
-    when the scalar lane is forced, and under any crash injector except one
-    armed at an event frontier (thread-count arming, an unarmed injector,
-    the frontier recorder).
+    when the scalar lane is forced, and for the one warp of a plain kernel
+    that a thread-count crash cuts before its last thread.
     """
 
     def register(warp_fn):

@@ -5,11 +5,13 @@ points during kernel execution with NVBitFI, a binary-instrumentation fault
 injector.  Our analogue supports two arming mechanisms:
 
 **Thread-count arming** (the original NVBitFI-style path) hooks the GPU
-engine's per-thread dispatch: the injector is armed with a *crash point* (a
-count of thread completions, optionally chosen at random), and when the
+engine's per-thread retirement: the injector is armed with a *crash point*
+(a count of thread completions, optionally chosen at random), and when the
 kernel engine crosses it the machine crashes mid-kernel - threads already
 retired keep whatever they persisted, in-flight unfenced stores are lost,
-and everything volatile disappears.
+and everything volatile disappears.  Launches stay on the warp lane; only
+the warp the crash point cuts runs thread at a time (see
+:meth:`CrashInjector.cuts_warp`).
 
 **Frontier arming** (the systematic path used by :mod:`repro.check`) counts
 *frontier-tagged events* on the machine's event bus instead: every event
@@ -97,18 +99,20 @@ class CrashInjector:
         return (self._crash_after is not None
                 or self._frontier_after is not None) and not self.fired
 
-    @property
-    def needs_scalar_lane(self) -> bool:
-        """Whether launches under this injector must run thread-at-a-time.
+    def cuts_warp(self, n_threads: int) -> bool:
+        """Whether the armed thread-count crash fires before the last of
+        the next ``n_threads`` one-thread retirements.
 
-        True unless the injector is armed at a frontier.  A thread-count
-        crash point can cut a warp between two of its threads, which only
-        the scalar lane's per-thread retirement expresses; an unarmed
-        injector stays on the reference lane too.  Frontier arming fires on
-        bus events, which both lanes emit identically, so
-        :meth:`~repro.gpu.device.Gpu.launch` may take the warp lane.
+        :meth:`~repro.gpu.device.Gpu.launch` asks before each plain warp
+        and runs only a warp cut this way thread at a time; every other
+        warp takes the warp lane and reports ``n_threads`` one-thread
+        retirements, so a crash on a warp's last thread fires in the same
+        :meth:`advance` on either lane.  Never true for frontier arming,
+        which fires on bus events both lanes emit identically.
         """
-        return self._frontier_after is None
+        if self.fired or self._crash_after is None:
+            return False
+        return n_threads > 1 and self._crash_after - self.threads_seen < n_threads
 
     @property
     def crash_after(self) -> int | None:

@@ -66,9 +66,9 @@ class TestRecorder:
         assert [f.value for f in threads] == [8]
 
     def test_passive_injector_interface(self):
-        # the GPU engine only touches .advance and .needs_scalar_lane
+        # the GPU engine only touches .advance and .cuts_warp
         rec = FrontierRecorder()
-        assert rec.needs_scalar_lane is True
+        assert rec.cuts_warp(32) is False
         rec.advance(100)  # never raises
 
 

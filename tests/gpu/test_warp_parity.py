@@ -165,9 +165,9 @@ def test_conventional_log_ablation_stays_scalar():
 
 
 def test_crash_injector_forces_scalar_lane():
-    # The injector's arming picks the lane: thread-count arming, an unarmed
-    # injector and repro.check's recorder need per-thread retirement and
-    # get the reference interpreter; frontier arming takes the warp lane.
+    # No injector forces the scalar lane: thread-count arming, an unarmed
+    # injector, repro.check's recorder and frontier arming all take the
+    # warp lane; only a warp a thread-count crash cuts runs per thread.
     assert resolve_warp_impl(partial_sums_kernel) is not None
     assert resolve_warp_impl(set_kernel) is not None
     assert resolve_warp_impl(delete_kernel) is not None
@@ -201,12 +201,12 @@ def test_crash_injector_forces_scalar_lane():
         system.gpu.launch = spy
         PrefixSum(PrefixSumConfig(n=1024, block_dim=256)).run(
             Mode.GPM, system=system, crash_injector=injector)
-        assert injector.needs_scalar_lane == (arm != "frontier")
+        assert not injector.cuts_warp(32)
         return set(lanes)
 
-    assert lanes_under("unarmed") == {"scalar"}
-    assert lanes_under("threads") == {"scalar"}
-    assert lanes_under("recorder") == {"scalar"}
+    assert lanes_under("unarmed") == {"warp"}
+    assert lanes_under("threads") == {"warp"}
+    assert lanes_under("recorder") == {"warp"}
     assert lanes_under("frontier") == {"warp"}
 
 
@@ -433,11 +433,11 @@ def test_litmus_kernels_lane_parity(index, spec):
 
 @pytest.mark.parametrize("spec", LITMUS_PARITY_POINTS)
 def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
-    # Event-frontier replays of the litmus fuzzer take the warp lane; the
-    # durable image at every frontier execute_point selects must equal the
-    # scalar lane's.  The campaign judges event frontiers from the image
-    # census of the (scalar) reference run and replays none of them, so
-    # this test is where the census meets both lanes' replays.
+    # Crash replays of the litmus fuzzer take the warp lane; the durable
+    # image at every frontier execute_point selects must equal the scalar
+    # lane's.  The campaign judges event frontiers from the image census
+    # of the reference run and replays none of them, so this test is
+    # where the census meets both lanes' replays.
     from repro.check.litmus import (
         DEFAULT_LITMUS_FRONTIERS,
         crash_images,
@@ -465,7 +465,7 @@ def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
             lanes.clear()
             default = crash_images(test, point, frontier)
             # (a crash before the launch resolves its lane leaves no entry)
-            assert set(lanes) <= {frontier.mechanism == "event"}
+            assert set(lanes) <= {True}
             warp_replays += any(lanes)
             with scalar_lane():
                 reference = crash_images(test, point, frontier)
