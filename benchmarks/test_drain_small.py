@@ -10,11 +10,14 @@ segments sit at or below the shipped cutoff, where the list route must be
 the faster one; 256 sits above it, where the vectorized route must win.
 
 ``test_write_epoch``: 200 ``OptaneModel.write_epoch`` calls of ``n``
-scattered segments given as lists, on the list core or the array core,
-around ``LIST_EPOCH_SEGMENTS``.
+scattered segments, on the epoch core or on the array arithmetic of
+``ReferenceOptane`` (``tests/sim/test_optane_properties.py``).
 
 The tables are in ``docs/performance.md``, "Small drains from lists".
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,9 @@ from repro.core.persist import persist_window
 from repro.gpu.device import _BlockEngine
 from repro.gpu.kernel import LaunchAccounting
 from repro.sim import Machine
-from repro.sim.optane import OptaneModel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "sim"))
+from test_optane_properties import ReferenceOptane  # noqa: E402
 
 _CALLS = 200
 _STORE = 8
@@ -37,7 +42,6 @@ EPOCH_SIZES = [1, 8, 32, 64]
 def test_sizes_bracket_the_cutoffs():
     below = [n for n in DRAIN_SIZES if n <= _BlockEngine.LIST_DRAIN_SEGMENTS]
     assert max(below) == _BlockEngine.LIST_DRAIN_SEGMENTS < max(DRAIN_SIZES)
-    assert min(EPOCH_SIZES) <= OptaneModel.LIST_EPOCH_SEGMENTS < max(EPOCH_SIZES)
 
 
 def _segments(n):
@@ -69,13 +73,14 @@ def test_eager_drain(benchmark, n, lists):
     assert machine.stats.pm_bytes_written == acct.host_write_bytes
 
 
-@_ROUTES
+@pytest.mark.parametrize("reference", [False, True], ids=["core", "reference"])
 @pytest.mark.parametrize("n", EPOCH_SIZES)
-def test_write_epoch(benchmark, n, lists):
+def test_write_epoch(benchmark, n, reference):
     machine = Machine()
+    if reference:
+        machine.optane = ReferenceOptane(machine.config, machine.events)
     region = machine.alloc_pm("pm", _STRIDE * max(EPOCH_SIZES))
     optane = machine.optane
-    optane.LIST_EPOCH_SEGMENTS = n if lists else n - 1
     starts, lengths = _segments(n)
 
     def run():

@@ -18,6 +18,9 @@ SRAD's per-warp shape under GPM-eADR, delivered as one
 ``Machine.io_write_arrival_groups`` call against the same arrivals as
 sequential ``io_write_arrival`` calls.
 
+``test_flag_store_and_flush``: a 4 B CPU store and a ``flush_range`` of
+it, the shape of every ``TransactionFlag`` begin and commit.
+
 The shipped cache keeps per-line LRU stamps in arrays (see
 ``docs/performance.md``, "LLC write-back path"); the reference is the
 ``OrderedDict`` model of ``tests/sim/test_cache.py``, which walks every
@@ -121,9 +124,9 @@ _RUN = 128
 @pytest.mark.parametrize("grouped", [True, False], ids=["grouped", "sequential"])
 def test_grouped_ddio_drain(benchmark, grouped):
     """1,152 one-run groups into the LLC, grouped or one call per group."""
-    starts = np.arange(_GROUPS, dtype=np.int64) * _RUN
-    lengths = np.full(_GROUPS, _RUN, dtype=np.int64)
-    groups = np.arange(_GROUPS, dtype=np.int64)
+    starts = [g * _RUN for g in range(_GROUPS)]
+    lengths = [_RUN] * _GROUPS
+    bounds = list(range(_GROUPS + 1))
     machines = []
 
     def setup():
@@ -133,7 +136,7 @@ def test_grouped_ddio_drain(benchmark, grouped):
 
     def run(machine, region):
         if grouped:
-            machine.io_write_arrival_groups(region, starts, lengths, groups, _GROUPS)
+            machine.io_write_arrival_groups(region, starts, lengths, bounds)
         else:
             for g in range(_GROUPS):
                 machine.io_write_arrival(region, starts[g:g + 1], lengths[g:g + 1])
@@ -142,3 +145,19 @@ def test_grouped_ddio_drain(benchmark, grouped):
     machine = machines[0]
     assert machine.stats.llc_ddio_fills == _GROUPS * _RUN // _LINE
     assert len(machine.llc) == _GROUPS * _RUN // _LINE
+
+
+@_MODELS
+def test_flag_store_and_flush(benchmark, reference):
+    """A 4 B store to a flag word, then a flush of it."""
+    machine = _machine(reference)
+    region = machine.alloc_pm("flag", 64)
+
+    def run():
+        region.visible[:4] += 1
+        machine.cpu_store_arrival(region, 0, 4)
+        machine.llc.flush_range(region, 0, 4)
+
+    benchmark(run)
+    assert len(machine.llc) == 0
+    assert (region.persisted == region.visible).all()

@@ -39,7 +39,7 @@ def gpm_memset(system, target, offset: int, size: int, value: int = 0) -> float:
         region.fill(offset, size, value)
         # The fill streams from the GPU as coalesced stores + one fence.
         pcie_t = system.machine.pcie.stream_write_time(size)
-        media_t = system.machine.io_write_range(region, offset, size)
+        media_t = system.machine.io_write_arrival(region, [offset], [size])
         system.machine.events.emit(KernelLaunch(kind="memset"))
         system.machine.events.emit(SystemFence())
         system.machine.clock.advance(

@@ -36,6 +36,7 @@ from ..core.persist import gpm_persist_begin, gpm_persist_end
 from ..experiments.results import ExperimentTable
 from ..gpu.memory import DeviceArray
 from ..sim.events import KernelLaunch, SystemFence
+from ..sim.optane import merge_segment_lists
 from ..system import System
 
 _MAGIC = 0x44435031  # "DCP1"
@@ -124,10 +125,9 @@ class DeltaCheckpoint:
                 region = self.gpm.region
                 for lo, hi, dst, _ in plan:
                     region.write_from(dst, raw[lo:hi])
-                starts = np.array([p[2] for p in plan], dtype=np.int64)
-                lengths = np.array([p[1] - p[0] for p in plan], dtype=np.int64)
-                nbytes = int(lengths.sum())
-                pcie_t = system.machine.pcie.stream_write_time(nbytes)
+                starts, lengths = merge_segment_lists([p[2] for p in plan],
+                                                      [p[1] - p[0] for p in plan])
+                pcie_t = system.machine.pcie.stream_write_time(sum(lengths))
                 media_t = system.machine.io_write_arrival(region, starts, lengths)
                 system.machine.events.emit(KernelLaunch(kind="delta_copy"))
                 system.machine.events.emit(SystemFence())

@@ -219,11 +219,13 @@ class _BlockEngine:
         per entry.  A run of at most :attr:`LIST_DRAIN_SEGMENTS` queued
         segments - an eager drain of one warp round, typically - is merged,
         counted and delivered from Python ints (:meth:`_deliver_lists`);
-        larger runs take the vectorized route (:meth:`_deliver_arrays`).
-        Both emit each group's :class:`WarpDrain` and then charge its PCIe
-        bytes and transactions before the group arrives, so a crash fired
-        on the drain event leaves that drain uncharged; media time is
-        charged once the whole run has arrived.
+        larger runs are merged in one numpy pass (:meth:`_deliver_arrays`).
+        Both end in one :meth:`Machine.io_write_arrival_groups` call, which
+        alone decides each group's route; its ``before_group`` hook emits
+        each group's :class:`WarpDrain` and charges its PCIe bytes and
+        transactions before the group arrives, so a crash fired on the
+        drain event leaves that drain uncharged.  Media time is charged once
+        the whole run has arrived.
         """
         queue = self._queue
         if not queue:
@@ -252,39 +254,47 @@ class _BlockEngine:
                 self._deliver_arrays(region, entries, warp_lane)
 
     def _deliver_lists(self, region: Region, entries: list, warp_lane: bool) -> None:
-        """One region run, merged and delivered group by group on Python ints."""
+        """One region run, merged group by group on Python ints."""
         acct = self.acct
         emit = self.machine.events.emit
-        arrival = self.machine._arrival
         tx_bytes = self.machine.config.pcie_tx_bytes
         name = region.name
-        times = []
+        run_starts: list[int] = []
+        run_lengths: list[int] = []
+        bounds = [0]
+        drains = []
         for _region, starts, lengths, round_no in entries:
             if warp_lane:
                 starts = [x for b in starts for x in b.tolist()]
                 lengths = [x for b in lengths for x in b.tolist()]
             run_s, run_l = merge_segment_lists(starts, lengths)
-            nbytes = sum(run_l)
             # 128 B spans per run; a zero-length run carries no transaction.
             tx = sum([(s + l - 1) // tx_bytes - s // tx_bytes + 1
                       for s, l in zip(run_s, run_l) if l])
-            emit(WarpDrain(
+            drains.append((WarpDrain(
                 region=name,
                 round_no=-1 if round_no == _IMPLICIT_ROUND else round_no,
-                segments=len(run_s), nbytes=nbytes,
+                segments=len(run_s), nbytes=sum(run_l),
                 starts=np.array(run_s, dtype=np.int64),
                 lengths=np.array(run_l, dtype=np.int64),
-            ))
-            acct.host_write_bytes += nbytes
+            ), tx))
+            run_starts += run_s
+            run_lengths += run_l
+            bounds.append(len(run_starts))
+
+        def _drain(g):
+            drain, tx = drains[g]
+            emit(drain)
+            acct.host_write_bytes += drain.nbytes
             acct.host_write_tx += tx
-            times.append(arrival(region, run_s, run_l))
+
+        times = self.machine.io_write_arrival_groups(
+            region, run_starts, run_lengths, bounds, before_group=_drain)
         for t in times:
             acct.pm_media_time += t
 
     def _deliver_arrays(self, region: Region, entries: list, warp_lane: bool) -> None:
-        """One region run: one :func:`merge_segments_grouped` pass and one
-        :meth:`Machine.io_write_arrival_groups` call, which alone decides
-        each group's route."""
+        """One region run, merged in one :func:`merge_segments_grouped` pass."""
         acct = self.acct
         emit = self.machine.events.emit
         tx_bytes = self.machine.config.pcie_tx_bytes
@@ -326,8 +336,8 @@ class _BlockEngine:
             acct.host_write_tx += tx_l[g]
 
         times = self.machine.io_write_arrival_groups(
-            region, run_s, run_l, run_g, n_groups, before_group=_drain)
-        for t in times.tolist():
+            region, run_s.tolist(), run_l.tolist(), bounds, before_group=_drain)
+        for t in times:
             acct.pm_media_time += t
 
     def finish(self) -> None:
@@ -649,7 +659,7 @@ class Gpu:
             else:
                 # device -> host streaming write
                 pcie_t = self.machine.pcie.stream_write_time(nbytes)
-                media_t = self.machine.io_write_range(dst, dst_off, nbytes)
+                media_t = self.machine.io_write_arrival(dst, [dst_off], [nbytes])
                 elapsed += max(pcie_t, media_t, nbytes / cfg.gpu_hbm_bw)
                 if persist:
                     self.machine.events.emit(SystemFence())
@@ -724,8 +734,9 @@ class Gpu:
             offsets, lengths, np.arange(n, dtype=np.int64) // warp,
             int(offsets.max()) + item_bytes + 1)
         times = self.machine.io_write_arrival_groups(
-            region, run_s, run_l, run_g, n_warps)
-        media = float(times.sum())
+            region, run_s.tolist(), run_l.tolist(),
+            run_g.searchsorted(np.arange(n_warps + 1)).tolist())
+        media = float(np.sum(times))
         total_tx = self.machine.pcie.transactions_for(run_s, run_l)
         self.machine.events.emit(SystemFence(count=fence_rounds * n))
         warps_issuing = min(n_warps, cfg.gpu_max_resident_warps)
@@ -764,7 +775,7 @@ class Gpu:
         arr = np.asarray(value, dtype=dtype)
         raw = np.frombuffer(arr.tobytes(), dtype=np.uint8)
         region.write_bytes(offset, raw)
-        media = self.machine.io_write_range(region, offset, len(raw))
+        media = self.machine.io_write_arrival(region, [offset], [len(raw)])
         self.machine.events.emit(SystemFence())
         self.machine.events.emit(PcieWrite(nbytes=len(raw), transactions=1))
         elapsed = self.machine.config.pcie_rtt_s + media

@@ -21,7 +21,7 @@ from .events import (
 )
 from .machine import Machine
 from .memory import CRASH_POISON, MemKind, Region
-from .optane import OptaneModel, merge_segments
+from .optane import OptaneModel
 from .pcie import PcieModel
 from .persistency import (
     MODE_REGISTRY,
@@ -79,7 +79,6 @@ __all__ = [
     "known_models",
     "load_jsonl",
     "make_model",
-    "merge_segments",
     "mode_entry",
     "record_events",
     "register_mode",

@@ -85,26 +85,18 @@ class LastLevelCache:
         base, n_lines, _ = block
         return self._stamp[base:base + n_lines].nonzero()[0].tolist()
 
-    def install_writes(self, region: Region, starts, lengths) -> None:
+    def install_writes(self, region: Region, starts: list[int], lengths: list[int]) -> None:
         """Record stores to PM-backed lines arriving at the LLC.
 
-        The bytes are already visible (stores update ``region.visible``
+        ``starts``/``lengths`` are byte segments given as Python ints.  The
+        bytes are already visible (stores update ``region.visible``
         directly); this only tracks *which lines are dirty*, i.e. visible
         but not yet persistent.  Capacity overflow triggers natural LRU
-        eviction, which persists the evicted lines.  Array adapter over
-        :meth:`install_runs`; non-PM regions are ignored.
+        eviction, which persists the evicted lines.  Non-PM regions are
+        ignored.
         """
         if region.kind is not MemKind.PM:
             return
-        self.install_runs(region, np.array(starts, dtype=np.int64, ndmin=1).tolist(),
-                          np.array(lengths, dtype=np.int64, ndmin=1).tolist())
-
-    def install_runs(self, region: Region, starts: list[int], lengths: list[int]) -> None:
-        """:meth:`install_writes` over segments given as lists of Python ints.
-
-        ``region`` must be a PM region.  The machine's grouped arrivals
-        install each group from slices of lists converted once per call.
-        """
         # Streaming fast path: traffic far exceeding the DDIO window writes
         # through continuously (lines evict as fast as they fill).  Persist
         # the head of the stream directly and cache only the tail.
@@ -211,34 +203,31 @@ class LastLevelCache:
     def _drain(self, gids: np.ndarray, pop: bool) -> None:
         """Write ``gids`` (LRU order) back to PM, one Optane epoch per line.
 
-        Each same-region run takes its per-line epochs from one vectorized
-        :meth:`OptaneModel.line_epochs` call, then persists and announces
-        them line by line.  With ``pop`` each line is cleared just before it
-        persists, so a crash at a line's epoch finds that line and every
-        earlier one persisted and the later ones still dirty (eADR drains
-        them).
+        Each same-region run is one :meth:`OptaneModel.write_epochs` call
+        with one single-line group per line.  With ``pop`` its
+        ``before_group`` hook clears each line just before it persists, so a
+        crash at a line's epoch finds that line and every earlier one
+        persisted and the later ones still dirty (eADR drains them).
 
         Natural evictions are asynchronous background traffic; they persist
         data functionally but are not charged to any foreground timeline.
         """
-        stamp, emit = self._stamp, self._events.emit
+        stamp = self._stamp
         for region, run, starts, sizes in self._runs(gids):
-            epochs = self._optane.line_epochs(region, starts, sizes)
-            persisted, visible = region.persisted, region.visible
-            for gid, start, end, epoch in zip(run.tolist(), starts.tolist(),
-                                              (starts + sizes).tolist(), epochs):
-                if pop:
-                    stamp[gid] = 0
+            clear = None
+            if pop:
+                def clear(g, run=run):
+                    stamp[run[g]] = 0
                     self._count -= 1
-                persisted[start:end] = visible[start:end]
-                emit(epoch)
+            self._optane.write_epochs(region, starts, sizes, range(len(run) + 1),
+                                      before_group=clear)
 
     def _runs(self, gids: np.ndarray):
         """Split ``gids`` into same-region runs, keeping their order.
 
-        Yields ``(region, run, starts, sizes)``: the run's gids and each
-        line's byte offset and size within the region (a region's last
-        line may be short).
+        Yields ``(region, run, starts, sizes)`` as lists of Python ints: the
+        run's gids and each line's byte offset and size within the region
+        (a region's last line may be short).
         """
         if self._bases_arr is None:
             self._bases_arr = np.asarray(self._bases, dtype=np.int64)
@@ -249,7 +238,8 @@ class LastLevelCache:
             block = int(blocks[lo])
             region = self._owners[block]
             starts = (gids[lo:hi] - self._bases[block]) * self._line
-            yield region, gids[lo:hi], starts, np.minimum(self._line, region.size - starts)
+            sizes = np.minimum(self._line, region.size - starts)
+            yield region, gids[lo:hi].tolist(), starts.tolist(), sizes.tolist()
 
     # -- the arrays behind the dirty set ---------------------------------
 
@@ -349,7 +339,7 @@ class LastLevelCache:
         self._count -= hits.size
         hits += first
         hits *= self._line
-        return self._optane.flush_lines(region, hits, self._line)
+        return self._optane.flush_lines(region, hits.tolist(), self._line)
 
     def drop_range(self, region: Region, offset: int, size: int) -> None:
         """Forget dirty lines in a range that were persisted by other means.
@@ -426,6 +416,6 @@ class LastLevelCache:
                 # One region's lines: a single run.
                 _, _, starts, sizes = next(self._runs(gids))
                 visible = region.visible
-                for start, end in zip(starts.tolist(), (starts + sizes).tolist()):
-                    image[start:end] = visible[start:end]
+                for start, size in zip(starts, sizes):
+                    image[start:start + size] = visible[start:start + size]
         return image

@@ -129,9 +129,12 @@ class Machine:
 
     # -- hardware write paths ---------------------------------------------
 
-    def io_write_arrival(self, region: Region, starts, lengths) -> float:
+    def io_write_arrival(self, region: Region, starts: list[int],
+                         lengths: list[int]) -> float:
         """Inbound I/O (GPU) writes reaching host memory.
 
+        ``starts``/``lengths`` are merged runs within ``region``, given as
+        Python ints (see :func:`~repro.sim.optane.merge_segment_lists`).
         Data is already visible (the writer updated ``region.visible``);
         this routes the persistence side-effect.  With DDIO on, PM-bound
         writes park in the volatile LLC and the returned host-side media
@@ -141,17 +144,7 @@ class Machine:
         """
         if region.kind is MemKind.HBM:
             raise ValueError("HBM is not host memory; io writes target DRAM or PM")
-        return self._arrival(region, np.array(starts, dtype=np.int64, ndmin=1).tolist(),
-                             np.array(lengths, dtype=np.int64, ndmin=1).tolist())
-
-    def io_write_range(self, region: Region, offset: int, size: int) -> float:
-        """:meth:`io_write_arrival` of the one segment ``[offset, offset+size)``."""
-        if region.kind is MemKind.HBM:
-            raise ValueError("HBM is not host memory; io writes target DRAM or PM")
-        return self._arrival(region, [int(offset)], [int(size)])
-
-    def _arrival(self, region: Region, starts: list[int], lengths: list[int]) -> float:
-        """:meth:`io_write_arrival` over segments given as lists of Python ints."""
+        region.check_segments(starts, lengths)
         if region.kind is MemKind.DRAM:
             self.events.emit(DramWrite(nbytes=sum(lengths), source="gpu"))
             return 0.0
@@ -160,50 +153,41 @@ class Machine:
             if routed is not None:
                 return routed
         if self.ddio_enabled:
-            self.llc.install_runs(region, starts, lengths)
+            self.llc.install_writes(region, starts, lengths)
             return 0.0
-        time = self.optane.write_epoch(region, starts, lengths)
-        self.events.emit(GpuPmWrite(nbytes=sum(lengths)))
-        return time
+        return self.optane.write_epochs(region, starts, lengths, (0, len(starts)),
+                                        arrival_event=GpuPmWrite)[0]
 
-    def io_write_arrival_groups(self, region: Region, run_starts, run_lengths,
-                                run_groups, n_groups: int, before_group=None):
+    def io_write_arrival_groups(self, region: Region, starts: list[int],
+                                lengths: list[int], bounds: list[int],
+                                before_group=None) -> list[float]:
         """Batched :meth:`io_write_arrival`: one arrival per group.
 
-        ``run_starts``/``run_lengths``/``run_groups`` are pre-merged segment
-        runs (see :func:`~repro.sim.optane.merge_segments_grouped`) for
-        ``n_groups`` consecutive arrivals - one group per warp drain or per
-        warp of a bulk scatter.  Emits the same events in the same order
-        as ``n_groups`` sequential :meth:`io_write_arrival` calls and
-        returns the per-group media seconds.  DDIO-off PM arrivals drain
-        as one vectorized :meth:`OptaneModel.write_epochs` call.  Every
-        other group - LLC installs with DDIO on, adaptive routing, DRAM,
-        empty or zero-length runs - arrives from slices of the runs
-        converted to Python lists once per call.
-        ``before_group(group)``, when given, fires before each group's
-        events, letting the caller keep its own per-arrival events
-        interleaved as sequential calls would.
+        Group ``g`` is the merged runs ``bounds[g]:bounds[g + 1]`` of
+        ``starts``/``lengths`` (Python ints) - one group per warp drain or
+        per warp of a bulk scatter; they must lie within ``region``, as
+        kernel stores do.  Emits the same events in the same order as
+        sequential :meth:`io_write_arrival` calls and returns the per-group
+        media seconds.  DDIO-off PM arrivals without adaptive routing drain
+        in one :meth:`OptaneModel.write_epochs` call; every other case
+        arrives group by group.  ``before_group(group)``, when given, fires
+        before each group's events, letting the caller keep its own
+        per-arrival events interleaved as sequential calls would.
         """
         if region.kind is MemKind.HBM:
             raise ValueError("HBM is not host memory; io writes target DRAM or PM")
-        bounds = run_groups.searchsorted(np.arange(n_groups + 1))
         if (region.kind is MemKind.PM and not self.ddio_enabled
-                and not self.persistency.adaptive
-                and (run_lengths > 0).all() and (bounds[1:] > bounds[:-1]).all()):
-            return self.optane.write_epochs(region, run_starts, run_lengths,
-                                            run_groups, n_groups,
+                and not self.persistency.adaptive):
+            return self.optane.write_epochs(region, starts, lengths, bounds,
                                             arrival_event=GpuPmWrite,
                                             before_group=before_group)
-        bounds = bounds.tolist()
-        starts, lengths = run_starts.tolist(), run_lengths.tolist()
-        arrival = self._arrival
         times = []
-        for g in range(n_groups):
+        for g in range(len(bounds) - 1):
             if before_group is not None:
                 before_group(g)
             lo, hi = bounds[g], bounds[g + 1]
-            times.append(arrival(region, starts[lo:hi], lengths[lo:hi]))
-        return np.array(times, dtype=np.float64)
+            times.append(self.io_write_arrival(region, starts[lo:hi], lengths[lo:hi]))
+        return times
 
     def cpu_store_arrival(self, region: Region, offset: int, size: int) -> None:
         """CPU stores to host memory dirty LLC lines (for PM regions)."""
@@ -219,11 +203,13 @@ class Machine:
         self.events.emit(CpuDrain(op="flush"))
         return self.llc.flush_range(region, offset, size)
 
-    def cpu_nt_store_arrival(self, region: Region, starts, lengths) -> float:
+    def cpu_nt_store_arrival(self, region: Region, starts: list[int],
+                             lengths: list[int]) -> float:
         """Non-temporal stores bypass the cache straight to the media."""
-        starts = np.array(starts, dtype=np.int64, ndmin=1).tolist()
-        lengths = np.array(lengths, dtype=np.int64, ndmin=1).tolist()
-        if region.kind is not MemKind.PM:
+        if region.kind is MemKind.HBM:
+            raise ValueError("CPU stores target host memory, not HBM")
+        if region.kind is MemKind.DRAM:
+            region.check_segments(starts, lengths)
             self.events.emit(DramWrite(nbytes=sum(lengths), source="cpu"))
             return 0.0
         time = self.optane.write_epoch(region, starts, lengths)

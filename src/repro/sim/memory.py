@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from operator import add
 
 import numpy as np
 
@@ -162,7 +163,8 @@ class Region:
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if starts.size <= self.PERSIST_SLICE_THRESHOLD:
-            self.persist_slices(starts.tolist(), lengths.tolist())
+            for start, length in zip(starts.tolist(), lengths.tolist()):
+                self.persisted[start:start + length] = self.visible[start:start + length]
             return
         keep = lengths > 0
         if not keep.all():
@@ -180,13 +182,6 @@ class Region:
         idx += bulk.iota64(total)
         self.persisted[idx] = self.visible[idx]
 
-    def persist_slices(self, starts: list[int], lengths: list[int]) -> None:
-        """The slice-loop :meth:`persist_ranges` over a few in-range
-        segments given as Python ints (a PM region only; no checks)."""
-        persisted, visible = self.persisted, self.visible
-        for start, length in zip(starts, lengths):
-            persisted[start:start + length] = visible[start:start + length]
-
     def crash(self) -> None:
         """Apply crash semantics: keep only what was persisted."""
         if self.persisted is not None:
@@ -200,6 +195,13 @@ class Region:
         if self.persisted is None:
             raise TypeError(f"volatile region {self.name!r} has no persisted image")
         return int(np.count_nonzero(self.visible != self.persisted))
+
+    def check_segments(self, starts: list[int], lengths: list[int]) -> None:
+        """Raise :class:`IndexError` unless every segment lies within the region."""
+        if starts and (min(starts) < 0 or max(map(add, starts, lengths)) > self.size):
+            raise IndexError(
+                f"segments reach outside region {self.name!r} of size {self.size}"
+            )
 
     def _check_range(self, offset: int, size: int) -> None:
         if offset < 0 or size < 0 or offset + size > self.size:

@@ -33,38 +33,13 @@ from .events import EventBus, OptaneEpoch, PmRead
 from .memory import Region
 
 
-def merge_segments(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge overlapping/adjacent ``[start, start+length)`` segments.
-
-    Returns ``(starts, lengths)`` of the merged runs, sorted by address.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if starts.size == 0:
-        return starts, lengths
-    order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    ends = starts + lengths[order]
-    # A new run begins wherever a segment starts beyond the running maximum
-    # end of all previous segments.
-    run_end = np.maximum.accumulate(ends)
-    new_run = np.ones(starts.size, dtype=bool)
-    new_run[1:] = starts[1:] > run_end[:-1]
-    run_ids = np.cumsum(new_run) - 1
-    n_runs = int(run_ids[-1]) + 1
-    run_starts = starts[new_run]
-    run_ends = np.zeros(n_runs, dtype=np.int64)
-    np.maximum.at(run_ends, run_ids, ends)
-    return run_starts, run_ends - run_starts
-
-
 def merge_segments_grouped(
     starts: np.ndarray, lengths: np.ndarray, group_ids: np.ndarray, stride: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge segments independently within each group, in one numpy pass.
 
-    Equivalent to calling :func:`merge_segments` on each group's slice, but
-    without the per-group Python round trips: shifting every address by
+    Equivalent to calling :func:`merge_segment_lists` on each group's slice,
+    but without the per-group Python round trips: shifting every address by
     ``group * stride`` keeps the single global sort/accumulate from ever
     merging runs across group boundaries.  ``stride`` must exceed every
     segment end offset.  Returns ``(run_starts, run_lengths, run_groups)``
@@ -134,11 +109,6 @@ def merge_segment_lists(starts: list[int], lengths: list[int]) -> tuple[list[int
 class OptaneModel:
     """Pattern-aware write/read timing for one Optane persistence domain."""
 
-    #: Up to this many segments given as a list, :meth:`write_epoch` runs on
-    #: Python ints instead of building arrays (see
-    #: ``benchmarks/test_drain_small.py``).
-    LIST_EPOCH_SEGMENTS = 32
-
     def __init__(self, config: SystemConfig, events: EventBus) -> None:
         self._config = config
         self._events = events
@@ -158,206 +128,89 @@ class OptaneModel:
         self._last_line = None
         self._last_region = None
 
-    def _random_starts(self, region: Region, first_lines: np.ndarray,
-                       last_lines: np.ndarray) -> np.ndarray:
-        """Which runs start off the stream, as a boolean array.
-
-        A run is sequential iff its first XPLine is the same as, or
-        immediately follows, the line written just before it: the previous
-        run's last line, or the stream's last line for the first run.
-        """
-        prev_last = np.empty(first_lines.size, dtype=np.int64)
-        same_stream = self._last_region == region.token and self._last_line is not None
-        prev_last[0] = self._last_line if same_stream else -(10**9)
-        prev_last[1:] = last_lines[:-1]
-        return (first_lines != prev_last) & (first_lines != prev_last + 1)
-
     # ------------------------------------------------------------------
 
-    def write_epoch(self, region: Region, starts, lengths) -> float:
+    def write_epoch(self, region: Region, starts: list[int], lengths: list[int]) -> float:
         """Drain one epoch of writes to PM; returns media seconds.
 
-        ``starts``/``lengths`` are arrays of byte segments within ``region``.
-        The segments are persisted functionally (visible -> persisted) and
-        their media cost is computed from the XPLine-touch pattern described
-        in the module docstring.  A few segments given as lists of Python
-        ints take :meth:`_write_epoch_lists`, the same arithmetic on ints.
+        ``starts``/``lengths`` are byte segments within ``region`` given as
+        Python ints, in any order, possibly overlapping.  They are merged,
+        then persisted functionally (visible -> persisted) and charged by
+        :meth:`write_epochs` as one group, which skips non-positive runs.
         """
-        if type(starts) is list and len(starts) <= self.LIST_EPOCH_SEGMENTS:
-            return self._write_epoch_lists(region, starts, lengths)
-        starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-        lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
-        nonempty = lengths > 0
-        if not nonempty.all():
-            starts, lengths = starts[nonempty], lengths[nonempty]
-        if starts.size == 0:
-            return 0.0
-        run_starts, run_lengths = merge_segments(starts, lengths)
-        region.persist_ranges(run_starts, run_lengths)
+        region.check_segments(starts, lengths)
+        starts, lengths = merge_segment_lists(starts, lengths)
+        return self.write_epochs(region, starts, lengths, (0, len(starts)))[0]
 
-        logical_bytes = int(run_lengths.sum())
-        first_lines = run_starts // self._line
-        last_lines = (run_starts + run_lengths - 1) // self._line
-        touches = last_lines - first_lines + 1
+    def write_epochs(self, region: Region, starts: list[int], lengths: list[int],
+                     bounds, arrival_event=None, before_group=None,
+                     grain: str = "epoch") -> list[float]:
+        """Drain consecutive epochs, one per group of runs; the only code
+        that persists runs and emits :class:`OptaneEpoch`.
 
-        # Every touch costs one full XPLine of media time; the first touch of
-        # a non-sequential run additionally pays the random-access penalty.
-        random_starts = int(np.count_nonzero(
-            self._random_starts(region, first_lines, last_lines)))
-        total_touches = int(touches.sum())
-        time = (
-            total_touches + random_starts * (self._config.pm_random_penalty - 1.0)
-        ) * self._line_time
+        Group ``g`` holds runs ``bounds[g]:bounds[g + 1]`` of
+        ``starts``/``lengths``, Python ints within ``region``; each group is
+        usually pre-merged (disjoint and address-sorted, e.g. from
+        :func:`merge_segment_lists` or :func:`merge_segments_grouped`).
+        Every run costs one full XPLine per line it touches, and its first
+        touch additionally pays the random-access penalty unless it is the
+        line written just before it, or the next one: the previous run's
+        last line, across groups too, or the stream's last line.  Runs of
+        zero length are skipped, so a group without a positive run drains
+        nothing: no epoch, no change to the stream, zero seconds.
 
-        self._last_line = int(last_lines[-1])
-        self._last_region = region.token
-        self._events.emit(OptaneEpoch(
-            region=region.name, logical_bytes=logical_bytes,
-            media_bytes=total_touches * self._line, segments=run_starts.size,
-            random_starts=random_starts, media_time=time,
-        ))
-        return time
-
-    def _write_epoch_lists(self, region: Region, starts: list[int],
-                           lengths: list[int]) -> float:
-        """:meth:`write_epoch` over a few segments given as Python ints.
-
-        Same merge, persistence, stream chaining and float operation order
-        as the array route, so the epoch and its ``media_time`` are
-        bit-identical.
+        Per group, in order: ``before_group(group)`` when given (how a
+        caller puts its own per-group event, or state change, ahead of the
+        epoch), then the group's persistence, its :class:`OptaneEpoch`, and
+        ``arrival_event(nbytes=logical_bytes)`` when given - also for a
+        group that drained nothing - so a crash observer armed on the event
+        stream sees exactly the per-epoch persistence frontier.  Returns the
+        per-group media seconds.
         """
-        if min(lengths, default=1) <= 0:
-            starts = [s for s, n in zip(starts, lengths) if n > 0]
-            lengths = [n for n in lengths if n > 0]
-        run_starts, run_lengths = merge_segment_lists(starts, lengths)
-        if not run_starts:
-            return 0.0
-        region.persist_slices(run_starts, run_lengths)
         line = self._line
-        prev = self._last_line if self._last_region == region.token else -(10**9)
-        touches = random_starts = 0
-        for start, length in zip(run_starts, run_lengths):
-            first = start // line
-            last = (start + length - 1) // line
-            touches += last - first + 1
-            if first != prev and first != prev + 1:
-                random_starts += 1
-            prev = last
-        time = (
-            touches + random_starts * (self._config.pm_random_penalty - 1.0)
-        ) * self._line_time
-        self._last_line = prev
-        self._last_region = region.token
-        self._events.emit(OptaneEpoch(
-            region=region.name, logical_bytes=sum(run_lengths),
-            media_bytes=touches * line, segments=len(run_starts),
-            random_starts=random_starts, media_time=time,
-        ))
-        return time
-
-    def write_epochs(self, region: Region, run_starts: np.ndarray,
-                     run_lengths: np.ndarray, run_groups: np.ndarray,
-                     n_groups: int, arrival_event=None,
-                     before_group=None) -> np.ndarray:
-        """Drain ``n_groups`` consecutive epochs in one vectorized pass.
-
-        Semantically identical to calling :meth:`write_epoch` once per group
-        in ascending group order - same per-epoch :class:`OptaneEpoch`
-        events, same cross-epoch sequentiality chaining, same functional
-        persistence applied group by group (so a crash observer armed on
-        the event stream sees exactly the per-epoch persistence frontier) -
-        but the XPLine arithmetic for all groups runs as one numpy pass.
-
-        The inputs are *pre-merged* runs, e.g. from
-        :func:`merge_segments_grouped`: within each group they must be
-        disjoint, address-sorted, and non-empty, with positive lengths, and
-        ``run_groups`` must cover every group in ``[0, n_groups)``.
-        ``arrival_event``, when given, is an event class emitted as
-        ``arrival_event(nbytes=logical_bytes)`` right after each group's
-        epoch - how the machine keeps its per-arrival events interleaved
-        exactly as the unbatched path.  ``before_group(group)`` is the hook
-        invoked before each group persists, so a caller can emit its own
-        per-group event ahead of the epoch's (the launch engine's queued
-        warp drains).
-        Returns the per-group media seconds.
-        """
-        run_starts = np.asarray(run_starts, dtype=np.int64)
-        run_lengths = np.asarray(run_lengths, dtype=np.int64)
-        run_groups = np.asarray(run_groups, dtype=np.int64)
-        first_lines = run_starts // self._line
-        last_lines = (run_starts + run_lengths - 1) // self._line
-        touches = last_lines - first_lines + 1
-        # One global chain: group g's first run compares against group
-        # g-1's last written line - exactly the stream state sequential
-        # write_epoch calls would carry over (all groups share ``region``).
-        random_runs = self._random_starts(region, first_lines, last_lines).astype(np.int64)
-        touches_g = np.bincount(run_groups, weights=touches,
-                                minlength=n_groups).astype(np.int64)
-        random_g = np.bincount(run_groups, weights=random_runs,
-                               minlength=n_groups).astype(np.int64)
-        logical_g = np.bincount(run_groups, weights=run_lengths,
-                                minlength=n_groups).astype(np.int64)
-        times = (
-            touches_g + random_g * (self._config.pm_random_penalty - 1.0)
-        ) * self._line_time
-        bounds = np.searchsorted(run_groups, np.arange(n_groups + 1)).tolist()
-        line = self._line
+        line_time = self._line_time
+        penalty = self._config.pm_random_penalty - 1.0
         name = region.name
         token = region.token
         emit = self._events.emit
         few = Region.PERSIST_SLICE_THRESHOLD
-        # Python-scalar copies of the per-run and per-group columns: plain
-        # list indexing in the loop below beats boxing numpy scalars
-        # thousands of times, and a group of few runs persists straight
-        # from the lists.
-        starts_l = run_starts.tolist()
-        lengths_l = run_lengths.tolist()
-        last_l = last_lines.tolist()
-        logical_l = logical_g.tolist()
-        touches_l = touches_g.tolist()
-        random_l = random_g.tolist()
-        times_l = times.tolist()
-        for g in range(n_groups):
+        persisted, visible = region.persisted, region.visible
+        prev = self._last_line if self._last_region == token else -(10**9)
+        times = []
+        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             if before_group is not None:
                 before_group(g)
-            lo, hi = bounds[g], bounds[g + 1]
-            if hi - lo <= few:
-                region.persist_slices(starts_l[lo:hi], lengths_l[lo:hi])
+            # A group of few runs persists slice by slice as it is counted.
+            slices = hi - lo <= few
+            touches = random_starts = logical = segments = 0
+            for i in range(lo, hi):
+                length = lengths[i]
+                if length > 0:
+                    start = starts[i]
+                    first = start // line
+                    last = (start + length - 1) // line
+                    touches += last - first + 1
+                    if first != prev and first != prev + 1:
+                        random_starts += 1
+                    prev = last
+                    logical += length
+                    segments += 1
+                    if slices:
+                        persisted[start:start + length] = visible[start:start + length]
+            if segments:
+                if not slices:
+                    region.persist_ranges(starts[lo:hi], lengths[lo:hi])
+                time = (touches + random_starts * penalty) * line_time
+                self._last_line = prev
+                self._last_region = token
+                emit(OptaneEpoch(name, logical, touches * line, segments,
+                                 random_starts, time, grain))
             else:
-                region.persist_ranges(run_starts[lo:hi], run_lengths[lo:hi])
-            self._last_line = last_l[hi - 1]
-            self._last_region = token
-            emit(OptaneEpoch(
-                region=name, logical_bytes=logical_l[g],
-                media_bytes=touches_l[g] * line, segments=hi - lo,
-                random_starts=random_l[g], media_time=times_l[g],
-            ))
+                time = 0.0
+            times.append(time)
             if arrival_event is not None:
-                emit(arrival_event(nbytes=logical_l[g]))
+                emit(arrival_event(nbytes=logical))
         return times
-
-    def line_epochs(self, region: Region, starts: np.ndarray, sizes: np.ndarray):
-        """Yield the :class:`OptaneEpoch` of each line of a one-line-per-epoch drain.
-
-        ``starts``/``sizes`` are positive, non-overlapping cache lines of
-        ``region`` in drain order.  The cost arithmetic is
-        :meth:`write_epochs`' with one run per group, in one numpy pass.
-        Taking the k-th epoch moves the stream to line k; the caller must
-        persist that line and then emit the epoch before taking the next,
-        as the LLC's write-back drain does.
-        """
-        first_lines = starts // self._line
-        last_lines = (starts + sizes - 1) // self._line
-        touches = last_lines - first_lines + 1
-        random = self._random_starts(region, first_lines, last_lines).astype(np.int64)
-        times = (touches + random * (self._config.pm_random_penalty - 1.0)) * self._line_time
-        name = region.name
-        self._last_region = region.token
-        for last, size, media, rnd, time in zip(
-                last_lines.tolist(), sizes.tolist(), (touches * self._line).tolist(),
-                random.tolist(), times.tolist()):
-            self._last_line = last
-            yield OptaneEpoch(name, size, media, 1, rnd, time)
 
     def write_flush_grain(self, region: Region, offset: int, size: int,
                           grain: int = 64, random: bool = False) -> float:
@@ -367,8 +220,8 @@ class OptaneModel:
         ``grain``-sized drain is its own epoch, so each one pays a full
         XPLine touch - the 4x partial-line amplification behind the paper's
         3.13 GB/s unaligned number.  With ``random=True`` every epoch also
-        pays the random-access penalty (0.72 GB/s).  Vectorised equivalent
-        of calling :meth:`write_epoch` once per grain.
+        pays the random-access penalty (0.72 GB/s).  An analytic model of
+        calling :meth:`write_epoch` once per grain: one event, no run list.
         """
         if size < 0:
             raise ValueError("size must be non-negative")
@@ -392,31 +245,21 @@ class OptaneModel:
         ))
         return time
 
-    def flush_lines(self, region: Region, line_starts, line_size: int) -> float:
+    def flush_lines(self, region: Region, line_starts: list[int], line_size: int) -> float:
         """Drain a set of dirty cache lines as one ``line_drain`` epoch.
 
-        Used by the LLC's range flushes.  The epoch charges one full XPLine
-        touch per line, however many lines share an XPLine.  Sequentiality
-        is judged between consecutive lines in sorted address order;
-        isolated lines pay the random penalty.  Returns media seconds.
+        Used by the LLC's range flushes.  Each line of ``line_starts``
+        (Python ints) is its own run of :meth:`write_epochs`, unmerged, so
+        the epoch charges one full XPLine touch per line, however many
+        lines share an XPLine.  Sequentiality is judged between consecutive
+        lines in sorted address order; isolated lines pay the random
+        penalty.  Returns media seconds.
         """
-        line_starts = np.sort(np.asarray(line_starts, dtype=np.int64))
-        if line_starts.size == 0:
-            return 0.0
-        lengths = np.minimum(line_size, region.size - line_starts)
-        region.persist_ranges(line_starts, lengths)
-        xlines = line_starts // self._line
-        n_random = int(np.count_nonzero(self._random_starts(region, xlines, xlines)))
-        touches = line_starts.size
-        time = (touches + n_random * (self._config.pm_random_penalty - 1.0)) * self._line_time
-        self._last_line = int(xlines[-1])
-        self._last_region = region.token
-        self._events.emit(OptaneEpoch(
-            region=region.name, logical_bytes=int(lengths.sum()),
-            media_bytes=touches * self._line, segments=touches,
-            random_starts=n_random, media_time=time, grain="line_drain",
-        ))
-        return time
+        starts = sorted(line_starts)
+        size = region.size
+        lengths = [min(line_size, size - start) for start in starts]
+        return self.write_epochs(region, starts, lengths, (0, len(starts)),
+                                 grain="line_drain")[0]
 
     def read(self, nbytes: int, random: bool = False) -> float:
         """Media seconds to read ``nbytes`` from PM."""

@@ -221,8 +221,8 @@ class PersistencyModel:
         """Route one inbound write group to a PM region; ``None`` means the
         default DDIO-governed path (only adaptive models override this).
 
-        ``starts``/``lengths`` are lists of Python ints.  Returns the media
-        seconds the group cost.
+        ``starts``/``lengths`` are the group's merged runs as lists of
+        Python ints.  Returns the media seconds the group cost.
         """
         return None
 
@@ -361,7 +361,7 @@ class AdaptivePath(PersistencyModel):
         if signal is None:
             signal = float(sum(lengths)) / max(1, len(lengths))
         if signal < self._threshold:
-            machine.llc.install_runs(region, starts, lengths)
+            machine.llc.install_writes(region, starts, lengths)
             if starts:
                 lo = min(starts)
                 hi = max(map(add, starts, lengths))
@@ -375,9 +375,8 @@ class AdaptivePath(PersistencyModel):
         # Direct path: the region's staged backlog must hit the media first
         # (writes to one region persist in issue order under this model).
         time = self._flush_staged(machine, region.token)
-        time += machine.optane.write_epoch(region, starts, lengths)
-        machine.events.emit(GpuPmWrite(nbytes=sum(lengths)))
-        return time
+        return time + machine.optane.write_epochs(
+            region, starts, lengths, (0, len(starts)), arrival_event=GpuPmWrite)[0]
 
     def _flush_staged(self, machine, token: int) -> float:
         entry = self._staged.pop(token, None)

@@ -266,8 +266,8 @@ class ReferenceLlc:
         self._events.emit(LlcFlush(region=region.name, lines=len(hits)))
         for line in hits:
             del self._dirty[(region.token, line)]
-        starts = np.asarray(hits, dtype=np.int64) * self._line
-        return self._optane.flush_lines(region, starts, self._line)
+        return self._optane.flush_lines(region, [line * self._line for line in hits],
+                                        self._line)
 
     def drop_range(self, region, offset, size):
         if region.kind is not MemKind.PM or size <= 0:

@@ -114,6 +114,11 @@ def _rig_state(machine, region, log):
             optane._last_line, optane._last_region == region.token)
 
 
+def _bounds(groups):
+    """Group bounds of runs listed with ascending group ids."""
+    return np.searchsorted(groups, np.arange(max(groups) + 2)).tolist()
+
+
 def _grouped_and_sequential(make_rig, runs, before, arm=None):
     """Run ``runs`` as one grouped call and as sequential calls.
 
@@ -122,8 +127,9 @@ def _grouped_and_sequential(make_rig, runs, before, arm=None):
     Returns both sides' ``(times, last group begun, state)``; ``times`` is
     ``None`` when the call crashed.
     """
-    starts, lengths, groups = (np.asarray(a, dtype=np.int64) for a in runs)
-    n_groups = int(groups.max()) + 1
+    starts, lengths, groups = runs
+    bounds = _bounds(groups)
+    n_groups = len(bounds) - 1
     sides = []
     for grouped in (True, False):
         machine, region, log = make_rig()
@@ -138,15 +144,14 @@ def _grouped_and_sequential(make_rig, runs, before, arm=None):
         try:
             if grouped:
                 times = machine.io_write_arrival_groups(
-                    region, starts, lengths, groups, n_groups, before_group=hook)
-                times = times.tolist()
+                    region, starts, lengths, bounds, before_group=hook)
             else:
                 times = []
                 for g in range(n_groups):
                     hook(g)
-                    mine = groups == g
-                    times.append(machine.io_write_arrival(region, starts[mine],
-                                                          lengths[mine]))
+                    lo, hi = bounds[g], bounds[g + 1]
+                    times.append(machine.io_write_arrival(region, starts[lo:hi],
+                                                          lengths[lo:hi]))
         except SimulatedCrash:
             times = None  # a crashed call returns nothing
         sides.append((times, seen[-1], _rig_state(machine, region, log)))
@@ -165,24 +170,24 @@ def _mark_group(machine, log, g):
 class TestGroupedArrivals:
     @pytest.mark.parametrize("route", GROUP_ROUTES)
     def test_matches_sequential_arrivals(self, route):
-        starts, lengths, groups = (np.asarray(a, dtype=np.int64) for a in GROUPED_RUNS)
+        starts, lengths, groups = GROUPED_RUNS
         if route == "positive-only":
-            # Only non-empty groups of positive runs: the vectorized path.
-            keep = lengths > 0
-            starts, lengths = starts[keep], lengths[keep]
-            groups = np.array([0, 0, 1, 2], dtype=np.int64)
-        n_groups = int(groups.max()) + 1
+            # Only non-empty groups of positive runs.
+            starts = [s for s, n in zip(starts, lengths) if n > 0]
+            lengths = [n for n in lengths if n > 0]
+            groups = [0, 0, 1, 2]
+        bounds = _bounds(groups)
         ref, ref_region, ref_log = _route_machine(route)
         ref_times = []
-        for g in range(n_groups):
+        for g in range(len(bounds) - 1):
             ref_log.append(("group", g))
-            mine = groups == g
-            ref_times.append(ref.io_write_arrival(ref_region, starts[mine], lengths[mine]))
+            lo, hi = bounds[g], bounds[g + 1]
+            ref_times.append(ref.io_write_arrival(ref_region, starts[lo:hi], lengths[lo:hi]))
         got, region, log = _route_machine(route)
         times = got.io_write_arrival_groups(
-            region, starts, lengths, groups, n_groups,
+            region, starts, lengths, bounds,
             before_group=lambda g: log.append(("group", g)))
-        assert times.tolist() == ref_times
+        assert times == ref_times
         assert log == ref_log
         if region.persisted is not None:
             assert np.array_equal(region.persisted, ref_region.persisted)
@@ -192,7 +197,7 @@ class TestGroupedArrivals:
         r = machine.alloc_hbm("h", 1024)
         seen = []
         with pytest.raises(ValueError):
-            machine.io_write_arrival_groups(r, [0], [64], [0], 1,
+            machine.io_write_arrival_groups(r, [0], [64], [0, 1],
                                             before_group=seen.append)
         assert seen == []
 
@@ -236,8 +241,8 @@ class TestGroupedArrivals:
         frontiers = []
         machine.events.subscribe(lambda ts, ev: frontiers.append(type(ev))
                                  if type(ev).frontier_kind else None)
-        starts, lengths, groups = (np.asarray(a, dtype=np.int64) for a in BURST_RUNS)
-        machine.io_write_arrival_groups(region, starts, lengths, groups, 8)
+        starts, lengths, groups = BURST_RUNS
+        machine.io_write_arrival_groups(region, starts, lengths, _bounds(groups))
         epochs = [i for i, kind in enumerate(frontiers) if kind is OptaneEpoch]
         assert len(epochs) > 8
         for ordinal in epochs:
@@ -274,6 +279,51 @@ class TestCpuPaths:
         r = machine.alloc_hbm("h", 64)
         with pytest.raises(ValueError):
             machine.cpu_store_arrival(r, 0, 8)
+
+    def test_nt_store_to_hbm_rejected(self, machine):
+        r = machine.alloc_hbm("h", 64)
+        with pytest.raises(ValueError, match="not HBM"):
+            machine.cpu_nt_store_arrival(r, [0], [8])
+        assert machine.stats.dram_bytes_written == 0
+
+
+#: Segments reaching outside a 4 KiB region: past its end, before its
+#: start, and one good segment beside a bad one.
+OUT_OF_RANGE = {"past-end": ([4090], [64]), "before-start": ([-64], [32]),
+                "one-of-two": ([0, 4064], [64, 64])}
+EDGE_ROUTES = ["ddio-on", "ddio-off", "adaptive", "eadr", "nt-store", "write-epoch"]
+
+
+class TestOutOfRangeSegments:
+    """The public write edge rejects segments outside the region before
+    any effect: no event, no persisted byte, no dirty line anywhere."""
+
+    @pytest.mark.parametrize("route", EDGE_ROUTES)
+    @pytest.mark.parametrize("segments", list(OUT_OF_RANGE))
+    def test_rejected_before_any_effect(self, route, segments):
+        machine = Machine(persistency={"adaptive": "adaptive", "eadr": "eadr"}.get(route))
+        if route == "adaptive":
+            machine.persistency.window_begin(machine)
+        if route in ("ddio-off", "nt-store", "write-epoch"):
+            machine.set_ddio(False)
+        neighbour = machine.alloc_pm("a", 4096)
+        region = machine.alloc_pm("b", 4096)
+        neighbour.visible[:] = 1
+        region.visible[:] = 2
+        machine.llc.install_writes(neighbour, [0], [8])
+        log = []
+        machine.events.subscribe(lambda ts, ev: log.append(ev))
+        with pytest.raises(IndexError, match="'b'"):
+            if route == "nt-store":
+                machine.cpu_nt_store_arrival(region, *OUT_OF_RANGE[segments])
+            elif route == "write-epoch":
+                machine.optane.write_epoch(region, *OUT_OF_RANGE[segments])
+            else:
+                machine.io_write_arrival(region, *OUT_OF_RANGE[segments])
+        assert log == []
+        assert not region.persisted.any()
+        assert machine.llc.dirty_lines(region) == []
+        assert machine.llc.dirty_lines(neighbour) == [0]
 
 
 class TestDdioToggle:

@@ -4,41 +4,30 @@ import numpy as np
 import pytest
 
 from repro.sim import Machine
-from repro.sim.optane import merge_segments
+from repro.sim.optane import merge_segment_lists
 
 
 class TestMergeSegments:
     def test_empty(self):
-        s, l = merge_segments(np.array([]), np.array([]))
-        assert s.size == 0
+        assert merge_segment_lists([], []) == ([], [])
 
     def test_disjoint_sorted(self):
-        s, l = merge_segments([0, 100], [10, 10])
-        assert list(s) == [0, 100]
-        assert list(l) == [10, 10]
+        assert merge_segment_lists([0, 100], [10, 10]) == ([0, 100], [10, 10])
 
     def test_adjacent_merge(self):
-        s, l = merge_segments([0, 10], [10, 10])
-        assert list(s) == [0]
-        assert list(l) == [20]
+        assert merge_segment_lists([0, 10], [10, 10]) == ([0], [20])
 
     def test_overlapping_merge(self):
-        s, l = merge_segments([0, 5], [10, 10])
-        assert list(s) == [0]
-        assert list(l) == [15]
+        assert merge_segment_lists([0, 5], [10, 10]) == ([0], [15])
 
     def test_unsorted_input(self):
-        s, l = merge_segments([100, 0], [10, 10])
-        assert list(s) == [0, 100]
+        assert merge_segment_lists([100, 0], [10, 10]) == ([0, 100], [10, 10])
 
     def test_contained_segment(self):
-        s, l = merge_segments([0, 2], [20, 4])
-        assert list(s) == [0]
-        assert list(l) == [20]
+        assert merge_segment_lists([0, 2], [20, 4]) == ([0], [20])
 
     def test_gap_of_one_byte_not_merged(self):
-        s, l = merge_segments([0, 11], [10, 5])
-        assert list(s) == [0, 11]
+        assert merge_segment_lists([0, 11], [10, 5]) == ([0, 11], [10, 5])
 
 
 class TestWriteEpoch:
@@ -138,7 +127,7 @@ class TestFlushLines:
     def test_persists_each_line(self, machine):
         r = machine.alloc_pm("a", 1024)
         r.visible[:] = 5
-        machine.optane.flush_lines(r, np.array([0, 128, 512]), 64)
+        machine.optane.flush_lines(r, [0, 128, 512], 64)
         p = r.persisted_view(np.uint8)
         assert (p[0:64] == 5).all()
         assert (p[128:192] == 5).all()
@@ -148,16 +137,16 @@ class TestFlushLines:
     def test_scattered_lines_pay_random_penalty(self, machine):
         r = machine.alloc_pm("a", 1 << 20)
         t_spread = machine.optane.flush_lines(
-            r, np.arange(64, dtype=np.int64) * 4096, 64
+            r, [i * 4096 for i in range(64)], 64
         )
         t_dense = machine.optane.flush_lines(
-            r, np.arange(64, dtype=np.int64) * 64, 64
+            r, [i * 64 for i in range(64)], 64
         )
         assert t_spread > 2 * t_dense
 
     def test_empty(self, machine):
         r = machine.alloc_pm("a", 128)
-        assert machine.optane.flush_lines(r, np.array([], dtype=np.int64), 64) == 0.0
+        assert machine.optane.flush_lines(r, [], 64) == 0.0
 
 
 class TestStreamIdentity:
