@@ -91,6 +91,29 @@ def _kvs_reference_prefixes() -> tuple:
     return tuple(snapshots), tuple(batches)
 
 
+def _register_kvs_recovery(manager, workload: GpKvs, mode: Mode) -> None:
+    """Fig. 6b's application recovery for a gpKVS run.
+
+    The undo kernel must run before the generic rules would otherwise
+    truncate the evidence.  One handler claims all three gpKVS files;
+    recovery itself runs once.
+    """
+    state = {"done": False}
+
+    def recover_kvs(sys_, file_report) -> float:
+        if state["done"]:
+            return 0.0
+        state["done"] = True
+        # A crash during setup can predate the flag or log files; with no
+        # batch ever begun there is nothing to undo.
+        for path in ("/pm/gpkvs.flag", "/pm/gpkvs.log", "/pm/gpkvs.table"):
+            if not sys_.fs.exists(path):
+                return 0.0
+        return workload.recover(sys_, mode)
+
+    manager.register_handler("/pm/gpkvs", recover_kvs)
+
+
 class KvsOracle(CrashOracle):
     """gpKVS batched SETs: atomicity and get-after-committed-put."""
 
@@ -107,24 +130,7 @@ class KvsOracle(CrashOracle):
         self._workload.run(mode, system=system, crash_injector=injector)
 
     def register_recovery_handlers(self, manager, system, mode: Mode) -> None:
-        # Fig. 6b's application recovery: the undo kernel must run before
-        # the generic rules would otherwise truncate the evidence.  One
-        # handler claims all three gpKVS files; recovery itself runs once.
-        state = {"done": False}
-        workload = self._workload
-
-        def recover_kvs(sys_, file_report) -> float:
-            if state["done"]:
-                return 0.0
-            state["done"] = True
-            # A crash during setup can predate the flag or log files;
-            # with no batch ever begun there is nothing to undo.
-            for path in ("/pm/gpkvs.flag", "/pm/gpkvs.log", "/pm/gpkvs.table"):
-                if not sys_.fs.exists(path):
-                    return 0.0
-            return workload.recover(sys_, mode)
-
-        manager.register_handler("/pm/gpkvs", recover_kvs)
+        _register_kvs_recovery(manager, self._workload, mode)
 
     def declare_invariants(self, system, mode: Mode,
                            observation: RunObservation) -> list:
@@ -269,20 +275,8 @@ class KvsDeleteOracle(CrashOracle):
             self._workload.delete_batch(batch, crash_injector=injector)
 
     def register_recovery_handlers(self, manager, system, mode: Mode) -> None:
-        # Same handler as the SET oracle: the undo kernel is op-agnostic.
-        state = {"done": False}
-        workload = self._workload
-
-        def recover_kvs(sys_, file_report) -> float:
-            if state["done"]:
-                return 0.0
-            state["done"] = True
-            for path in ("/pm/gpkvs.flag", "/pm/gpkvs.log", "/pm/gpkvs.table"):
-                if not sys_.fs.exists(path):
-                    return 0.0
-            return workload.recover(sys_, mode)
-
-        manager.register_handler("/pm/gpkvs", recover_kvs)
+        # The undo kernel is op-agnostic: DELETEs recover like SETs.
+        _register_kvs_recovery(manager, self._workload, mode)
 
     def declare_invariants(self, system, mode: Mode,
                            observation: RunObservation) -> list:

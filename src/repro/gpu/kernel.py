@@ -72,7 +72,6 @@ class KernelResult:
     accounting: LaunchAccounting
     threads: int
     warps: int
-    crashed: bool = False
     #: Which execution lane ran the kernel: "scalar" (thread-at-a-time) or
     #: "warp" (the vectorized lane of :mod:`repro.gpu.warp`).
     lane: str = "scalar"

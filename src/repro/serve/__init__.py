@@ -16,9 +16,9 @@ layer on top of the existing simulator:
   shards keyed by key-hash range, so disjoint key ranges persist
   concurrently and recover shard-by-shard through the existing recovery
   kernel;
-* :class:`~repro.serve.frontend.Frontend` - an asyncio front-end that runs
-  the tenant streams on the machine's *simulated* clock (virtual-time
-  scheduler), keeping every run deterministic under its seed;
+* :class:`~repro.serve.frontend.Frontend` - one event loop that runs the
+  tenant streams on the machine's *simulated* clock (a heap of parked
+  tenants), keeping every run deterministic under its seed;
 * :class:`~repro.serve.metrics.ServiceMetrics` - an event-bus sink folding
   the service events into sustained throughput, per-tenant latency
   percentiles, batch occupancy, and shed rates.

@@ -26,7 +26,7 @@ class TokenBucket:
     """The classic token bucket, run on the simulated clock.
 
     Refill is computed lazily from elapsed simulated time, so the bucket
-    needs no timer task and is exact under the virtual-time scheduler.
+    needs no timer and is exact at any simulated instant.
     """
 
     def __init__(self, rate: float, burst: float, now: float = 0.0) -> None:

@@ -54,7 +54,6 @@ class Batcher:
                 f"target batch {self.config.target_batch} exceeds the store's "
                 f"log geometry ({store.config.max_batch})")
         self.pending: list[Request] = []
-        self.flushes = 0
 
     # -- trigger ------------------------------------------------------------
 
@@ -115,7 +114,6 @@ class Batcher:
         take = self.config.target_batch
         batch, self.pending = self.pending[:take], self.pending[take:]
         self.admission.drained(len(batch))
-        self.flushes += 1
         system = self.store.system
         events = system.events
         sets, deletes, gets, superseded = self._compact(batch)

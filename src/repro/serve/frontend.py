@@ -1,84 +1,35 @@
-"""The asyncio front-end, running tenant streams on the *simulated* clock.
+"""The front-end: tenant streams served on the *simulated* clock.
 
-Tenant clients are coroutines: each sleeps until its next request's
-scheduled arrival, offers it to admission control, and submits admitted
-requests to the batcher.  But ``await asyncio.sleep`` waits on wall-clock
-time, and the service's time is :class:`~repro.sim.clock.SimClock` - so the
-front-end brings its own virtual-time scheduler:
+The service's time is :class:`~repro.sim.clock.SimClock`, so serving is a
+discrete-event loop over one heap of parked tenants:
 
-* a tenant awaiting ``sleep_until(t)`` parks a future in a heap keyed by
-  ``(wake time, park order)``;
-* the driver coroutine advances the simulated clock **only when every
-  live tenant task is parked** - i.e. when no coroutine has runnable work
-  at the current instant - and only to the earliest interesting time (the
-  next arrival or the batcher's linger deadline), then resolves every
-  future that came due;
-* kernel launches (batch flushes) happen inside the driver and advance
-  the clock themselves; sleepers whose wake time the flush ran past are
-  woken immediately after, their requests arriving "late" exactly as an
-  open-loop client's would.
+* a tenant offers every request whose arrival the clock has reached to
+  admission control (admitted ones go to the batcher), then parks on its
+  next request in a heap keyed by ``(arrival, park order)``;
+* the loop advances the simulated clock only to the earliest interesting
+  time (the next arrival or the batcher's linger deadline), then runs
+  every tenant that came due, in heap order;
+* kernel launches (batch flushes) advance the clock themselves; tenants
+  whose arrival the flush ran past run right after, their requests
+  arriving "late" exactly as an open-loop client's would.
 
-Everything is single-threaded and FIFO-ordered (heap order for wakes,
-asyncio's run-to-completion between awaits), so a run is a deterministic
-pure function of the traffic schedule - the property the byte-identical
-summary determinism test pins.
+Everything is single-threaded and heap-ordered, so a run is a
+deterministic pure function of the traffic schedule - the property the
+byte-identical summary tests pin.
 
-A :class:`~repro.sim.crash.SimulatedCrash` raised by a mid-flush crash
-injector cancels the tenant tasks and propagates to the caller, leaving
-the system in its crashed state for recovery tests.
+Every exception propagates.  A :class:`~repro.sim.crash.SimulatedCrash`
+raised by a mid-flush crash injector leaves the system in its crashed
+state for recovery tests.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
+from itertools import count
 
 from ..sim.events import ServiceRequest
 from .admission import AdmissionController
 from .batcher import Batcher
-from .traffic import TenantStream
-
-
-class VirtualTimeScheduler:
-    """Futures parked on the simulated clock, woken in time order."""
-
-    def __init__(self, clock) -> None:
-        self.clock = clock
-        self._heap: list = []
-        self._seq = 0
-        #: live futures parked in the heap; the *wake* decrements this (not
-        #: the coroutine's resumption), so a task is "runnable" from the
-        #: moment its time comes until it parks again
-        self.parked = 0
-
-    async def sleep_until(self, when: float) -> None:
-        fut = asyncio.get_running_loop().create_future()
-        heapq.heappush(self._heap, (when, self._seq, fut))
-        self._seq += 1
-        self.parked += 1
-        await fut
-
-    def next_wake(self) -> float | None:
-        return self._heap[0][0] if self._heap else None
-
-    def wake_due(self, now: float | None = None) -> int:
-        """Resolve every future whose wake time the clock has reached.
-
-        ``now`` overrides the clock: the driver passes its logical cursor,
-        which can sit one float ulp *ahead* of the clock when an advance to
-        a target time was absorbed by rounding (tiny delta added to a much
-        larger ``now``).  The cursor, not the lossy sum, decides wakes.
-        """
-        if now is None:
-            now = self.clock.now
-        woken = 0
-        while self._heap and self._heap[0][0] <= now:
-            _, _, fut = heapq.heappop(self._heap)
-            self.parked -= 1
-            if not fut.done():
-                fut.set_result(None)
-            woken += 1
-        return woken
 
 
 class Frontend:
@@ -90,77 +41,61 @@ class Frontend:
         self.admission = admission
         self.batcher = batcher
         self.crash_injector = crash_injector
-        self.scheduler = VirtualTimeScheduler(system.clock)
-        self._live = 0
+        #: parked tenants: ``(arrival, park order, request, rest of stream)``
+        self._parked: list = []
+        self._park_order = count()
 
-    # -- tenant client -------------------------------------------------------
+    def _offer(self, req) -> None:
+        admitted, reason = self.admission.offer(req.tenant, self.system.clock.now)
+        self.system.events.emit(ServiceRequest(tenant=req.tenant, op=req.op,
+                                               admitted=admitted, reason=reason))
+        if admitted:
+            self.batcher.submit(req)
 
-    async def _tenant(self, stream: TenantStream) -> None:
+    def _serve(self, rest, due=None) -> None:
+        """Offer ``due``, then every later request the clock has reached.
+
+        The tenant then parks on its first request still in the future.
+        """
         clock = self.system.clock
-        events = self.system.events
-        try:
-            for req in stream.requests:
-                if req.arrival > clock.now:
-                    await self.scheduler.sleep_until(req.arrival)
-                admitted, reason = self.admission.offer(req.tenant, clock.now)
-                events.emit(ServiceRequest(tenant=req.tenant, op=req.op,
-                                           admitted=admitted, reason=reason))
-                if admitted:
-                    self.batcher.submit(req)
-        finally:
-            self._live -= 1
-
-    # -- driver --------------------------------------------------------------
-
-    async def _drain_runnable(self) -> None:
-        """Give every woken/new task the loop until it parks or finishes."""
-        while self._live > self.scheduler.parked:
-            await asyncio.sleep(0)
-
-    async def _drive(self) -> None:
-        clock = self.system.clock
-        sched = self.scheduler
-        batcher = self.batcher
-        # The driver's logical "now".  Advancing the clock to a target time
-        # adds a tiny delta to a much larger float and can be absorbed by
-        # rounding, leaving the clock one ulp short of the target forever;
-        # the cursor tracks the target exactly, so linger deadlines and
-        # wake times are compared against a value that actually reaches
-        # them.
-        cursor = clock.now
-        while True:
-            await self._drain_runnable()
-            cursor = max(cursor, clock.now)
-            if self._live == 0 and not batcher.pending:
-                break
-            if batcher.should_flush(cursor):
-                # Launches advance the clock; arrivals they ran past wake
-                # right after, like clients whose service stalled.
-                batcher.flush(self.crash_injector)
-                cursor = max(cursor, clock.now)
-                sched.wake_due(cursor)
-                continue
-            targets = [t for t in (sched.next_wake(), batcher.next_deadline())
-                       if t is not None]
-            if not targets:
-                batcher.flush(self.crash_injector)
-                continue
-            t = min(targets)
-            if t > clock.now:
-                clock.advance(t - clock.now)
-            cursor = max(cursor, clock.now, t)
-            sched.wake_due(cursor)
-
-    async def _main(self, streams: list) -> None:
-        self._live = len(streams)
-        tasks = [asyncio.ensure_future(self._tenant(s)) for s in streams]
-        try:
-            await self._drive()
-        finally:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if due is not None:
+            self._offer(due)
+        for req in rest:
+            if req.arrival > clock.now:
+                heapq.heappush(self._parked,
+                               (req.arrival, next(self._park_order), req, rest))
+                return
+            self._offer(req)
 
     def run(self, streams: list) -> None:
         """Serve every stream to completion (or until a simulated crash)."""
-        asyncio.run(self._main(streams))
+        clock = self.system.clock
+        batcher = self.batcher
+        parked = self._parked
+        for stream in streams:
+            self._serve(iter(stream.requests))
+        # The loop's logical "now".  Advancing the clock to a target time
+        # adds a tiny delta to a much larger float and can be absorbed by
+        # rounding, leaving the clock one ulp short of the target forever;
+        # the cursor tracks the target exactly, so linger deadlines and
+        # arrivals are compared against a value that actually reaches them.
+        cursor = clock.now
+        while parked or batcher.pending:
+            if batcher.should_flush(cursor):
+                batcher.flush(self.crash_injector)
+                cursor = max(cursor, clock.now)
+            else:
+                t = batcher.next_deadline()
+                if parked and (t is None or parked[0][0] < t):
+                    t = parked[0][0]
+                if t > clock.now:
+                    clock.advance(t - clock.now)
+                cursor = max(cursor, clock.now, t)
+            # Pop every due tenant before any runs: one that re-parks at or
+            # before the cursor waits for the next wake.
+            due = []
+            while parked and parked[0][0] <= cursor:
+                due.append(heapq.heappop(parked))
+            for _, _, req, rest in due:
+                self._serve(rest, req)
+            cursor = max(cursor, clock.now)

@@ -2,7 +2,7 @@
 
 :func:`run_service` is the composition root the CLI and bench harness call:
 it builds the store (with its sharded logs), the admission controller, the
-batcher and the virtual-time front-end from one :class:`ServiceConfig`,
+batcher and the event-loop front-end from one :class:`ServiceConfig`,
 runs the configured traffic to completion, and returns the deterministic
 service summary.  The same seed yields a byte-identical summary - the
 property ``python -m repro serve`` advertises and the tests pin.

@@ -132,11 +132,8 @@ class ShardedHclLog:
     @classmethod
     def open(cls, system, base: str) -> "ShardedHclLog":
         """Re-attach to the persisted shards (the post-crash entry point)."""
-        meta = gpm_map(system, cls.meta_path(base))
-        header = meta.persisted_view(np.uint32, 0, _META_BYTES // 4)
-        if int(header[0]) != SERVE_MAGIC:
-            raise GpmError(f"{cls.meta_path(base)!r} is not a serve manifest")
-        n_shards, n_sets = int(header[1]), int(header[2])
+        manifest = cls.manifest(system, base)
+        n_shards, n_sets = manifest["n_shards"], manifest["n_sets"]
         logs, flags = [], []
         for s in range(n_shards):
             log = gpmlog_open(system, cls.log_path(base, s))

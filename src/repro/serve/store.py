@@ -39,6 +39,7 @@ from ..workloads.kvs import (
     delete_kernel,
     get_kernel,
     hash64_vec,
+    persist_touched_pairs,
     set_kernel,
 )
 from .shards import ShardedHclLog
@@ -65,11 +66,6 @@ class StoreConfig:
         return self.n_sets * self.ways
 
     @property
-    def key_space(self) -> int:
-        #: quarter-loaded table, like the batch workload's key range
-        return self.n_sets * self.ways * 2
-
-    @property
     def log_blocks(self) -> int:
         return -(-self.max_batch // self.block_dim)
 
@@ -90,7 +86,6 @@ class ShardedKvStore:
         self.mirror_keys = mirror_keys
         self.mirror_values = mirror_values
         self.shards = shards
-        self._batch_seq = 0
         #: Persistent staging arena for batch arguments: one HBM region,
         #: lazily grown, sliced per shard each flush.  Replaces the
         #: alloc/free pair every shard group used to pay per flush.
@@ -196,82 +191,56 @@ class ShardedKvStore:
         same-key requests, as MegaKV's pipeline does before the kernel).
         Returns launch accounting for the metrics sink.
         """
+        return self._mutate(set_kernel, (batch_keys, batch_values),
+                            crash_injector)
+
+    def delete_batch(self, batch_keys: np.ndarray, crash_injector=None) -> dict:
+        """Transactionally delete one deduplicated batch of keys."""
+        return self._mutate(delete_kernel, (batch_keys,), crash_injector)
+
+    def _mutate(self, kernel, columns, crash_injector) -> dict:
+        """The logged-mutation path: one batch under the shards' flags.
+
+        ``columns`` are the kernel's per-request inputs, keys first; each
+        shard's slice of every column is staged, in order, after the
+        previous shard's.
+        """
         cfg = self.config
-        batch_keys = np.asarray(batch_keys, dtype=np.uint64)
-        batch_values = np.asarray(batch_values, dtype=np.uint64)
-        n = batch_keys.size
+        columns = [np.asarray(c, dtype=np.uint64) for c in columns]
+        n = columns[0].size
         if n == 0:
             return {"threads": 0, "shards": 0, "lane": "none"}
         if n > cfg.max_batch:
             raise ValueError(f"batch of {n} exceeds the log geometry "
                              f"({cfg.max_batch})")
-        self._batch_seq += 1
-        groups = self._shard_groups(batch_keys)
+        groups = self._shard_groups(columns[0])
         shard_ids = [s for s, _ in groups]
         # Pipelined flush: every shard's slice is compacted and staged into
         # the arena *before* the first launch, so shard k's critical path
         # is accounted while shard k+1's arguments already sit in HBM.
-        stage = self._stage_buffer(n * 16)
+        stage = self._stage_buffer(n * 8 * len(columns))
         staged = {}
         off = 0
         for shard, idx in groups:
-            sk = DeviceArray(stage, np.uint64, off, idx.size)
-            sv = DeviceArray(stage, np.uint64, off + idx.size * 8, idx.size)
-            sk.np[:] = batch_keys[idx]
-            sv.np[:] = batch_values[idx]
-            staged[shard] = (sk, sv)
-            off += idx.size * 16
-        self.shards.begin(shard_ids)
-        self.driver.persist_phase_begin()
-        try:
-            def make_args(shard, idx, touched):
-                sk, sv = staged[shard]
-                return (self.keys, self.values, self.mirror_keys,
-                        self.mirror_values, sk, sv, idx.size, cfg.n_sets,
-                        cfg.ways, self.shards.log(shard), touched)
-
-            threads, touched, lane = self._launch_groups(
-                set_kernel, groups, make_args, crash_injector)
-        finally:
-            self.driver.persist_phase_end()
-        self._persist_touched(touched)
-        self.shards.commit(shard_ids)
-        return {"threads": threads, "shards": len(groups), "lane": lane}
-
-    def delete_batch(self, batch_keys: np.ndarray, crash_injector=None) -> dict:
-        """Transactionally delete one deduplicated batch of keys."""
-        cfg = self.config
-        batch_keys = np.asarray(batch_keys, dtype=np.uint64)
-        n = batch_keys.size
-        if n == 0:
-            return {"threads": 0, "shards": 0, "lane": "none"}
-        if n > cfg.max_batch:
-            raise ValueError(f"batch of {n} exceeds the log geometry "
-                             f"({cfg.max_batch})")
-        self._batch_seq += 1
-        groups = self._shard_groups(batch_keys)
-        shard_ids = [s for s, _ in groups]
-        stage = self._stage_buffer(n * 8)
-        staged = {}
-        off = 0
-        for shard, idx in groups:
-            sk = DeviceArray(stage, np.uint64, off, idx.size)
-            sk.np[:] = batch_keys[idx]
-            staged[shard] = sk
-            off += idx.size * 8
+            staged[shard] = []
+            for column in columns:
+                arr = DeviceArray(stage, np.uint64, off, idx.size)
+                arr.np[:] = column[idx]
+                staged[shard].append(arr)
+                off += idx.size * 8
         self.shards.begin(shard_ids)
         self.driver.persist_phase_begin()
         try:
             def make_args(shard, idx, touched):
                 return (self.keys, self.values, self.mirror_keys,
-                        self.mirror_values, staged[shard], idx.size,
+                        self.mirror_values, *staged[shard], idx.size,
                         cfg.n_sets, cfg.ways, self.shards.log(shard), touched)
 
             threads, touched, lane = self._launch_groups(
-                delete_kernel, groups, make_args, crash_injector)
+                kernel, groups, make_args, crash_injector)
         finally:
             self.driver.persist_phase_end()
-        self._persist_touched(touched)
+        persist_touched_pairs(self.table, self.values, touched)
         self.shards.commit(shard_ids)
         return {"threads": threads, "shards": len(groups), "lane": lane}
 
@@ -284,7 +253,6 @@ class ShardedKvStore:
             return np.empty(0, dtype=np.uint64), {"threads": 0, "shards": 0,
                                                   "lane": "none"}
         system = self.system
-        self._batch_seq += 1
         stage = self._stage_buffer(n * 16)
         bk = DeviceArray(stage, np.uint64, 0, n)
         out = DeviceArray(stage, np.uint64, n * 8, n)
@@ -298,14 +266,6 @@ class ShardedKvStore:
         values = out.np.copy()
         return values, {"threads": grid * cfg.block_dim, "shards": 1,
                         "lane": result.lane}
-
-    def _persist_touched(self, touched: list[int]) -> None:
-        """Mode-appropriate post-kernel persistence of the updated pairs."""
-        idx = (np.unique(np.asarray(touched, dtype=np.int64)) if touched
-               else np.array([], dtype=np.int64))
-        starts = np.concatenate([idx * 8, self.values.offset + idx * 8])
-        self.table.persist_segments(starts,
-                                    np.full(starts.size, 8, dtype=np.int64))
 
     # -- crash invariants ----------------------------------------------------
 

@@ -20,6 +20,7 @@ amplification (Table 4).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,6 +390,18 @@ def _recovery_kernel(ctx, keys, values, mirror_keys, mirror_values, log, ways, n
     gpmlog_remove(ctx, log, LOG_ENTRY_BYTES)
 
 
+def persist_touched_pairs(table, values: DeviceArray, touched: list[int]) -> None:
+    """Mode-appropriate post-kernel persistence of the updated pairs.
+
+    ``touched`` holds the table slots a SET or DELETE kernel wrote (repeats
+    allowed); each slot's key word and value word persist as 8-byte runs.
+    """
+    idx = (np.unique(np.asarray(touched, dtype=np.int64)) if touched
+           else np.array([], dtype=np.int64))
+    starts = np.concatenate([idx * 8, values.offset + idx * 8])
+    table.persist_segments(starts, np.full(starts.size, 8, dtype=np.int64))
+
+
 # ---------------------------------------------------------------------------
 # the workload
 # ---------------------------------------------------------------------------
@@ -522,19 +535,12 @@ class GpKvs(CrashConsistent):
         if flag is not None:
             flag.begin()
         driver.persist_phase_begin()
+        # The conventional-log ablation (Fig. 11a) serialises threads on
+        # partition locks - per-thread interleaving is its whole point, so
+        # it keeps the reference interpreter.
+        conventional = log is not None and not isinstance(log, HclLog)
         try:
-            # The conventional-log ablation (Fig. 11a) serialises threads on
-            # partition locks - per-thread interleaving is its whole point,
-            # so it keeps the reference interpreter.
-            if log is not None and not isinstance(log, HclLog):
-                with scalar_lane():
-                    result = system.gpu.launch(
-                        set_kernel, self._grid(n_ops), cfg.block_dim,
-                        (keys, values, mirror_keys, mirror_values, bk, bv,
-                         n_ops, cfg.n_sets, cfg.ways, log, touched),
-                        crash_injector=crash_injector,
-                    )
-            else:
+            with scalar_lane() if conventional else nullcontext():
                 result = system.gpu.launch(
                     set_kernel, self._grid(n_ops), cfg.block_dim,
                     (keys, values, mirror_keys, mirror_values, bk, bv, n_ops,
@@ -544,11 +550,7 @@ class GpKvs(CrashConsistent):
             self._last_lane = result.lane
         finally:
             driver.persist_phase_end()
-        # Mode-appropriate post-kernel persistence of the updated pairs.
-        idx = np.unique(np.asarray(touched, dtype=np.int64)) if touched else np.array([], dtype=np.int64)
-        starts = np.concatenate([idx * 8, values.offset + idx * 8])
-        lengths = np.full(starts.size, 8, dtype=np.int64)
-        table.persist_segments(starts, lengths)
+        persist_touched_pairs(table, values, touched)
         if flag is not None:
             flag.commit()
             gpmlog_clear(log)
@@ -615,10 +617,7 @@ class GpKvs(CrashConsistent):
             )
         finally:
             driver.persist_phase_end()
-        idx = (np.unique(np.asarray(touched, dtype=np.int64))
-               if touched else np.array([], dtype=np.int64))
-        starts = np.concatenate([idx * 8, values.offset + idx * 8])
-        table.persist_segments(starts, np.full(starts.size, 8, dtype=np.int64))
+        persist_touched_pairs(table, values, touched)
         if flag is not None:
             flag.commit()
             gpmlog_clear(log)

@@ -9,6 +9,8 @@ The headline acceptance properties live here:
   invariant passing.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.serve.store import (
 )
 from repro.serve.traffic import Request
 from repro.sim.crash import CrashInjector, SimulatedCrash
+from repro.sim.events import ServiceRequest
 from repro.workloads.base import Mode, make_system
 
 SMALL_STORE = dict(n_sets=64, ways=8, n_shards=4, max_batch=64)
@@ -200,6 +203,36 @@ class TestRunService:
         assert summary_json(a["summary"]) == summary_json(b["summary"])
         c = run_service(ServiceConfig(**{**SMALL_SERVICE, "seed": 7}))
         assert summary_json(a["summary"]) != summary_json(c["summary"])
+
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(seed=42, duration=5e-4),
+         "2ba80ccb191c0790223b2cdb58aa7b06f6c4127a5f4235049f9a0c3f9b048098"),
+        (dict(seed=7, duration=5e-4),
+         "62a473c1298ae76a73666e099b6c08cfd63b6dcdbcd3014733f282c92885a965"),
+        # 479 queue-full sheds
+        (dict(seed=3, duration=1e-3, rate=1e6, max_queue_depth=256),
+         "c2497c93805a987439851f1b19b47f587b5e5534f7ea25ed0f687483ab6d156b"),
+        # 1,229 tenant-rate sheds
+        (dict(seed=5, duration=1e-3, tenant_rate=2e5, tenant_burst=16),
+         "f100fa17eb0c97f20fae781b67a46a279f033b5b65c730bd9764d932fad24865"),
+    ], ids=["seed42", "seed7", "queue-full", "tenant-rate"])
+    def test_summary_is_pinned(self, overrides, digest):
+        summary = run_service(ServiceConfig(**overrides))["summary"]
+        assert hashlib.sha256(summary_json(summary).encode()).hexdigest() == digest
+
+    def test_tenant_step_exception_propagates(self):
+        system = make_system(Mode.GPM)
+        offered = []
+
+        def fail_on_tenth(ts, event):
+            if type(event) is ServiceRequest:
+                offered.append(event)
+                if len(offered) == 10:
+                    raise RuntimeError("tenth request")
+
+        system.events.subscribe(fail_on_tenth)
+        with pytest.raises(RuntimeError, match="tenth request"):
+            run_service(ServiceConfig(duration=1e-4), system=system)
 
     def test_summary_reports_the_service_story(self):
         summary = run_service(ServiceConfig(**SMALL_SERVICE))["summary"]
