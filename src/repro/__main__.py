@@ -22,10 +22,11 @@ Commands
     Run one workload while recording the hardware event bus; saves a
     replayable JSONL event log and a Chrome-trace JSON (load in
     ``chrome://tracing`` or Perfetto).  See ``docs/observability.md``.
-``check <target> [--mode MODE] [--max-frontiers N] [--frontier SPEC]``
+``check <target> [--mode MODE] [--max-frontiers N] [--frontier SPEC] [--images]``
     Systematically crash the target at every distinct frontier, recover,
     and verify its invariants; non-zero exit and a reproducer command on
-    any violation.  See ``docs/crash-consistency.md``.
+    any violation.  ``--images`` counts the distinct durable images among
+    the crash states instead.  See ``docs/crash-consistency.md``.
 ``serve [--tenants N --shards N --rate R --duration S --seed S ...]``
     Run the multi-tenant request-serving layer over gpKVS (admission
     control, warp-sized batching, sharded HCL logs) and print the service
@@ -245,6 +246,9 @@ def _check_litmus_flags(args) -> None:
         if getattr(args, flag) is not None and not args.litmus_replay:
             raise SystemExit(f"check: --{flag.replace('_', '-')} applies only "
                              f"with --litmus-replay SEED:INDEX")
+    if args.images and (args.litmus or args.litmus_replay):
+        raise SystemExit("check: --images applies to a target, not to "
+                         "--litmus or --litmus-replay")
     if args.frontier and args.litmus and not args.litmus_replay:
         raise SystemExit("check: --frontier applies to a target or to "
                          "--litmus-replay SEED:INDEX, not to --litmus N")
@@ -260,7 +264,7 @@ def _check_litmus_flags(args) -> None:
 
 def _cmd_check(args) -> int:
     from .check import explore, make_oracle, parse_frontier
-    from .check.explorer import explore_frontier
+    from .check.explorer import count_images, explore_frontier
     from .check.report import render_single
 
     for flag in ("max_frontiers", "litmus", "litmus_frontiers"):
@@ -287,6 +291,13 @@ def _cmd_check(args) -> int:
         make_oracle(args.target)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    if args.images:
+        if frontier is not None:
+            raise SystemExit("check: --images counts a whole exploration; "
+                             "drop --frontier")
+        print(count_images(args.target, mode, args.max_frontiers,
+                           args.window_samples).describe())
+        return 0
     if frontier is not None:
         result = explore_frontier(args.target, mode.value, frontier)
         print(render_single(args.target, mode.value, result))
@@ -371,6 +382,9 @@ def main(argv=None) -> int:
                     help="thread-count samples per unfenced window")
     ck.add_argument("--frontier", metavar="SPEC",
                     help="replay one crash, e.g. event:17 or threads:113")
+    ck.add_argument("--images", action="store_true",
+                    help="count the distinct durable images among the "
+                         "crash states instead of judging them")
     ck.add_argument("--litmus", type=int, metavar="N", default=0,
                     help="fuzz N generated litmus tests across the full "
                          "persistency config matrix")

@@ -5,18 +5,23 @@ NVBitFI); this subsystem replaces sampling with enumeration.  A reference
 run is observed through the event bus to identify every semantically
 distinct *crash frontier* (fences, warp drain rounds, Optane epochs,
 persist-window toggles, checkpoint marks, and the unfenced thread windows
-between them); the workload is then deterministically replayed to each
-frontier, crashed there, recovered with :class:`repro.core.recovery.
-RecoveryManager`, and judged against the invariants the workload declares
-through the :class:`CrashOracle` protocol.
+between them) and to snapshot the durable state a crash at each event
+frontier leaves.  Each crash state - powered up from that snapshot, or
+replayed to its frontier and crashed there when no snapshot names it - is
+recovered with :class:`repro.core.recovery.RecoveryManager` and judged
+against the invariants the workload declares through the
+:class:`CrashOracle` protocol.
 
 Modules
 -------
 ``frontier``   frontier taxonomy, the :class:`FrontierRecorder`, pruning
+``census``     chunk-shared durable-image snapshots, and powering a fresh
+               system up over one
 ``oracle``     the :class:`CrashOracle` protocol and invariant plumbing
 ``oracles``    concrete oracles for the check targets (prefix_sum, kvs,
                checkpointed-dnn, hashmap, ring, broken-demo)
-``explorer``   the :class:`CrashExplorer` replay loop + multiprocessing
+``explorer``   the :class:`CrashExplorer` loop (census states in-process,
+               replays over multiprocessing)
 ``report``     human-readable reports with replayable reproducer commands
 ``litmus``     the persistency-litmus fuzzer: seeded generated tests, the
                outcome oracle, and the :class:`LitmusExplorer` config-matrix

@@ -28,7 +28,7 @@ deterministic striding - never by random sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,11 @@ class Frontier:
     value: int          # event ordinal, or cumulative retired-thread count
     kind: str           # frontier taxonomy bucket ("fence", "warp-drain", ...)
     description: str = ""
+    #: What a crash here leaves, taken by the recorder's ``snapshot`` as
+    #: the event went by (event frontiers of a census run only); ``None``
+    #: means the state must be replayed.  Not part of the coordinate: it
+    #: takes no part in equality, hashing or ``repr``.
+    state: object = field(default=None, compare=False, repr=False)
 
     def spec(self) -> str:
         """The ``--frontier`` CLI spec that replays this exact crash."""
@@ -90,12 +95,12 @@ class FrontierRecorder:
     representative counts per window (first, middle, last - deterministic)
     become ``threads`` frontiers.
 
-    With a ``snapshot`` callable, every event frontier also records
-    ``snapshot()`` in :attr:`image_census` at its ordinal, taken as the
-    event is emitted.  An ``arm_at_frontier`` crash fires at that same
-    moment, before the event's side effect, so a snapshot of the durable
-    images (:meth:`repro.sim.machine.Machine.durable_image`) is the crash
-    state of that frontier without a replay.
+    With a ``snapshot`` callable, every event frontier carries
+    ``snapshot()`` as its :attr:`Frontier.state`, taken as the event is
+    emitted.  An ``arm_at_frontier`` crash fires at that same moment,
+    before the event's side effect, so a snapshot of the durable images
+    (:class:`repro.check.census.ImageCensus`) is the crash state of that
+    frontier without a replay.
     """
 
     def __init__(self, window_samples: int = 3, snapshot=None) -> None:
@@ -103,8 +108,6 @@ class FrontierRecorder:
             raise ValueError("window_samples must be >= 1")
         self.window_samples = window_samples
         self._snapshot = snapshot
-        #: ``snapshot()`` at each event frontier, indexed by its ordinal
-        self.image_census: list = []
         self._event_frontiers: list[Frontier] = []
         self._thread_frontiers: list[Frontier] = []
         self._ordinal = 0
@@ -140,11 +143,10 @@ class FrontierRecorder:
         if kind is None:
             return
         self._close_window()
+        state = self._snapshot() if self._snapshot is not None else None
         self._event_frontiers.append(Frontier(
-            "event", self._ordinal, kind, type(event).etype
+            "event", self._ordinal, kind, type(event).etype, state
         ))
-        if self._snapshot is not None:
-            self.image_census.append(self._snapshot())
         self._ordinal += 1
 
     def _close_window(self) -> None:

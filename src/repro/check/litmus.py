@@ -32,9 +32,11 @@ engine's drain bookkeeping):
 The crash states at event frontiers come from the same reference run that
 records the frontiers: an event frontier crashes while its event is
 emitted, before its side effect, so the run snapshots every region's
-durable image at each one (the **image census**, see
-:func:`record_frontiers`).  Only thread-count frontiers and ``--frontier``
-reproducers replay a crash (:func:`crash_images`).
+durable image at each one (the chunk-shared **image census** of
+:mod:`repro.check.census`, see :func:`record_frontiers`).  A frontier whose
+snapshot is the same object as the last one judged reuses its verdicts.
+Only thread-count frontiers and ``--frontier`` reproducers replay a crash
+(:func:`crash_images`).
 
 A :class:`LitmusExplorer` fans each generated test out across the full
 config matrix - every registered persistency model x DDIO window on/off x
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -67,6 +70,7 @@ from ..sim.persistency import (
     sentinel_mutant,
 )
 from ..system import System
+from .census import DurableImage, ImageCensus
 from .frontier import Frontier, FrontierRecorder, parse_frontier, prune_frontiers
 
 #: Byte distance between generated write slots.  Wider than an LLC line (so
@@ -554,17 +558,32 @@ def _expected_images(expected: dict[int, dict[int, int]]) -> dict[int, np.ndarra
     return out
 
 
+def _durable_gather(plan: list[LitmusWrite]) -> list[tuple]:
+    """Per region: the plan positions, u32 word indices and values of its
+    writes, so one gather per region reads which writes are durable."""
+    words_per_slot = SLOT_STRIDE // 4
+    out = []
+    for r in sorted({w.region for w in plan}):
+        pos = [i for i, w in enumerate(plan) if w.region == r]
+        out.append((r, np.array(pos, dtype=np.intp),
+                    np.array([plan[i].slot * words_per_slot for i in pos],
+                             dtype=np.intp),
+                    np.array([plan[i].value for i in pos], dtype=np.int64)))
+    return out
+
+
 def _state_violations(test: LitmusTest, point: ConfigPoint, model,
                       plan: list[LitmusWrite], images: dict[int, np.ndarray],
                       claim: str, expected: dict[int, dict[int, int]],
                       expected_images: dict[int, np.ndarray],
-                      ) -> list[tuple[str, str]]:
+                      gather: list[tuple]) -> list[tuple[str, str]]:
     """Judge one post-crash (or completion) durable state.
 
     ``images`` maps region index to its u32 image; ``claim`` labels the
-    state in violation details ("durable"/"visible").  ``expected`` and
-    ``expected_images`` are the point's :func:`_expected_words` and
-    :func:`_expected_images`, built once per point.  Returns
+    state in violation details ("durable"/"visible").  ``expected``,
+    ``expected_images`` and ``gather`` are the point's
+    :func:`_expected_words`, :func:`_expected_images` and
+    :func:`_durable_gather`, built once per point.  Returns
     ``(invariant-name, detail)`` pairs.
     """
     out: list[tuple[str, str]] = []
@@ -581,9 +600,10 @@ def _state_violations(test: LitmusTest, point: ConfigPoint, model,
                 out.append(("litmus-value-integrity",
                             f"region {r} word {int(word)} is {got:#x}, "
                             f"expected {want:#x} or 0"))
-    words_per_slot = SLOT_STRIDE // 4
-    durable = [bool(images[w.region][w.slot * words_per_slot] == w.value)
-               for w in plan]
+    durable_arr = np.zeros(len(plan), dtype=bool)
+    for r, pos, words, values in gather:
+        durable_arr[pos] = images[r][words] == values
+    durable = durable_arr.tolist()
     # -- persist-domain check: volatile deliveries must not survive -------
     if not model.durable_on_delivery(point.window):
         if model.adaptive and point.window:
@@ -669,28 +689,31 @@ def _staged_flush_violations(test: LitmusTest, plan: list[LitmusWrite],
 
 
 def record_frontiers(test: LitmusTest, point: ConfigPoint, census: bool = True):
-    """The uninjected reference run: its frontiers, final regions and image census.
+    """The uninjected reference run: its frontiers and final regions.
 
-    The image census holds, at each event frontier's ordinal, the durable
-    u32 image of every region that a crash at that frontier leaves - what
-    :func:`crash_images` replays to get.  With ``census=False`` no image
-    is taken and the census is ``None``.
+    With ``census``, every event frontier carries as its ``state`` the
+    :class:`~repro.check.census.DurableImage` a crash there leaves - what
+    :func:`crash_images` replays to get (read it with
+    :func:`census_images`); consecutive frontiers with no durable change
+    between them share one image object.
     """
     system, regions = _build(test, point)
-    machine = system.machine
-
-    def snapshot() -> dict[int, np.ndarray]:
-        return {i: _image_u32(machine.durable_image(r)) for i, r in enumerate(regions)}
-
-    recorder = FrontierRecorder(window_samples=2,
-                                snapshot=snapshot if census else None)
+    recorder = FrontierRecorder(
+        window_samples=2,
+        snapshot=ImageCensus(system.machine) if census else None)
     system.events.subscribe(recorder.observe)
     try:
         _run(system, test, regions, recorder, point.window)
     finally:
         system.events.unsubscribe(recorder.observe)
-    return (recorder.frontiers(), regions,
-            recorder.image_census if census else None)
+    return recorder.frontiers(), regions
+
+
+def census_images(image: DurableImage) -> dict[int, np.ndarray]:
+    """A census snapshot as the region-index -> u32 image map the judge
+    reads (views of the shared chunks, not copies)."""
+    return {i: _image_u32(image.region(name))
+            for i, name in enumerate(image.region_names())}
 
 
 def crash_images(test: LitmusTest, point: ConfigPoint,
@@ -719,28 +742,18 @@ def crash_images(test: LitmusTest, point: ConfigPoint,
     return None
 
 
-def _explore_one(test: LitmusTest, point: ConfigPoint, model,
-                 plan: list[LitmusWrite], frontier: Frontier,
-                 image_census: list | None, expected: dict,
-                 expected_images: dict) -> list[tuple[str, str]]:
-    """Judge the durable state a crash at one frontier leaves.
-
-    An event frontier reads its images from the reference run's
-    ``image_census``; a thread-count frontier, or any frontier when
-    ``image_census`` is ``None``, is replayed through :func:`crash_images`.
-    """
+def _replayed_violations(test: LitmusTest, point: ConfigPoint,
+                         frontier: Frontier, judge) -> list[tuple[str, str]]:
+    """Judge the durable state a replayed crash at ``frontier`` leaves
+    (:func:`crash_images`, the reference path)."""
     if frontier.mechanism not in ("event", "threads"):
         return [("litmus-replay",
                  f"unknown frontier mechanism {frontier.mechanism!r}")]
-    if image_census is not None and frontier.mechanism == "event":
-        images = image_census[frontier.value]
-    else:
-        images = crash_images(test, point, frontier)
+    images = crash_images(test, point, frontier)
     if images is None:
         return [("litmus-determinism",
                  f"armed frontier {frontier.spec()} never fired")]
-    return _state_violations(test, point, model, plan, images, "durable",
-                             expected, expected_images)
+    return judge(images)
 
 
 def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None,
@@ -754,8 +767,9 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
     census + completion checks), then a crash exploration of the recorded
     frontiers - all of them for the ordering-sensitive kinds, a pruned
     sample elsewhere, or exactly ``frontier_spec`` when replaying one
-    reported violation.  Event frontiers are judged from the image census;
-    thread-count frontiers and ``frontier_spec`` are replayed.
+    reported violation.  Event frontiers are judged from the image census,
+    once per distinct snapshot object; thread-count frontiers and
+    ``frontier_spec`` are replayed.
     Returns a JSON-serializable verdict payload.
     """
     test = LitmusTest.from_payload(test_payload)
@@ -772,7 +786,7 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
         # -- reference run: frontiers, census, completion -----------------
         # A reproducer replays its one crash (the reference path) and
         # reads no census.
-        frontiers, regions, image_census = record_frontiers(
+        frontiers, regions = record_frontiers(
             test, point, census=frontier_spec is None)
         counts: dict[str, int] = {}
         for f in frontiers:
@@ -818,10 +832,20 @@ def execute_point(test_payload: dict, point_spec: str, mutant: str | None = None
             chosen = [parse_frontier(frontier_spec)]
         else:
             chosen = select_frontiers(frontiers, max_frontiers)
+        judge = partial(_state_violations, test, point, model, plan,
+                        claim="durable", expected=expected,
+                        expected_images=expected_images,
+                        gather=_durable_gather(plan))
+        judged: tuple = (None, [])
         for frontier in chosen:
-            for name, detail in _explore_one(test, point, model, plan,
-                                             frontier, image_census,
-                                             expected, expected_images):
+            state = frontier.state
+            if state is None:
+                found = _replayed_violations(test, point, frontier, judge)
+            else:
+                if state is not judged[0]:  # a repeated snapshot: judged once
+                    judged = state, judge(census_images(state))
+                found = judged[1]
+            for name, detail in found:
                 violate(frontier.spec(), name, detail)
 
     return {

@@ -88,6 +88,15 @@ class RunObservation:
                 and event.label.startswith("checkpoint:")):
             self.checkpoints_started += 1
 
+    def prefix(self) -> "RunObservation":
+        """A frozen copy of the counts so far: what a run crashed at the
+        event now being emitted would have observed."""
+        copy = RunObservation()
+        copy.frontier_counts = dict(self.frontier_counts)
+        copy.checkpoints_started = self.checkpoints_started
+        copy.crashed = True
+        return copy
+
 
 class CrashOracle:
     """Protocol for one crash-consistency check target.
@@ -112,6 +121,16 @@ class CrashOracle:
         """Run the target to completion (reference) or until the armed
         ``injector`` fires (exploration raises ``SimulatedCrash``)."""
         raise NotImplementedError
+
+    def attach(self, system, mode: Mode) -> None:
+        """Bind the target to a crashed ``system`` without running it.
+
+        Called after every crash, before :meth:`recover`: whatever
+        recovery and the invariants use must be rebuilt here from the
+        oracle's config and the durable state, never kept from the run
+        that crashed, so a system powered up from a durable image alone
+        recovers exactly like the crashed one.
+        """
 
     def register_recovery_handlers(self, manager: RecoveryManager,
                                    system, mode: Mode) -> None:

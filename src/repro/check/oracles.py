@@ -53,8 +53,11 @@ class PrefixSumOracle(CrashOracle):
     supports_thread_injection = True
 
     def execute(self, system, mode: Mode, injector) -> None:
+        PrefixSum(PrefixSumConfig(**_PS_CONFIG)).run(
+            mode, system=system, crash_injector=injector)
+
+    def attach(self, system, mode: Mode) -> None:
         self._workload = PrefixSum(PrefixSumConfig(**_PS_CONFIG))
-        self._workload.run(mode, system=system, crash_injector=injector)
 
     def declare_invariants(self, system, mode: Mode,
                            observation: RunObservation) -> list:
@@ -126,8 +129,11 @@ class KvsOracle(CrashOracle):
     supports_thread_injection = True
 
     def execute(self, system, mode: Mode, injector) -> None:
+        GpKvs(KvsConfig(**_KVS_CONFIG)).run(mode, system=system,
+                                            crash_injector=injector)
+
+    def attach(self, system, mode: Mode) -> None:
         self._workload = GpKvs(KvsConfig(**_KVS_CONFIG))
-        self._workload.run(mode, system=system, crash_injector=injector)
 
     def register_recovery_handlers(self, manager, system, mode: Mode) -> None:
         _register_kvs_recovery(manager, self._workload, mode)
@@ -269,10 +275,13 @@ class KvsDeleteOracle(CrashOracle):
     supports_thread_injection = True
 
     def execute(self, system, mode: Mode, injector) -> None:
-        self._workload = GpKvs(KvsConfig(**_KVS_CONFIG))
-        self._workload.run(mode, system=system, crash_injector=injector)
+        workload = GpKvs(KvsConfig(**_KVS_CONFIG))
+        workload.run(mode, system=system, crash_injector=injector)
         for batch in _kvs_delete_batches():
-            self._workload.delete_batch(batch, crash_injector=injector)
+            workload.delete_batch(batch, crash_injector=injector)
+
+    def attach(self, system, mode: Mode) -> None:
+        self._workload = GpKvs(KvsConfig(**_KVS_CONFIG))
 
     def register_recovery_handlers(self, manager, system, mode: Mode) -> None:
         # The undo kernel is op-agnostic: DELETEs recover like SETs.
@@ -381,8 +390,11 @@ class DbUpdateOracle(CrashOracle):
     supports_thread_injection = True
 
     def execute(self, system, mode: Mode, injector) -> None:
+        GpDb("update", DbConfig(**_DB_CONFIG)).run(mode, system=system,
+                                                   crash_injector=injector)
+
+    def attach(self, system, mode: Mode) -> None:
         self._workload = GpDb("update", DbConfig(**_DB_CONFIG))
-        self._workload.run(mode, system=system, crash_injector=injector)
 
     def register_recovery_handlers(self, manager, system, mode: Mode) -> None:
         # The undo kernel must run before the generic rules truncate the
@@ -485,10 +497,14 @@ class CheckpointedDnnOracle(CrashOracle):
     supports_thread_injection = False
 
     def execute(self, system, mode: Mode, injector) -> None:
+        workload = DnnTraining(**_DNN_CONFIG)
+        workload.iterations = _DNN_ITERATIONS
+        workload.checkpoint_every = _DNN_EVERY
+        workload.run(mode, system=system)
+
+    def attach(self, system, mode: Mode) -> None:
+        # Restoring needs only the seed: the checkpoint is on PM.
         self._workload = DnnTraining(**_DNN_CONFIG)
-        self._workload.iterations = _DNN_ITERATIONS
-        self._workload.checkpoint_every = _DNN_EVERY
-        self._workload.run(mode, system=system)
 
     def declare_invariants(self, system, mode: Mode,
                            observation: RunObservation) -> list:

@@ -97,6 +97,17 @@ def render_report(report: ExploreReport) -> str:
     return "\n".join(lines)
 
 
+def render_image_count(count) -> str:
+    """The ``python -m repro check <target> --images`` output."""
+    return "\n".join([
+        f"durable images: {count.target} under {count.mode.value}",
+        f"  crash states        {count.states} ({count.event_states} event, "
+        f"{count.thread_states} threads)",
+        f"  distinct images     {count.distinct}",
+        f"  threads-only images {count.thread_only}",
+    ])
+
+
 def render_litmus_report(report, repro_cmd=litmus_reproducer_command) -> str:
     """The full ``python -m repro check --litmus N`` output.
 

@@ -81,6 +81,23 @@ class DaxFilesystem:
         except KeyError:
             raise FsError(f"no such file: {path!r}") from None
 
+    def adopt(self, path: str, region: Region) -> PmFile:
+        """Name an existing PM region ``path``: remount a durable namespace.
+
+        No syscall and no clock: the file table is itself persistent, so a
+        machine powered up over a durable image (see
+        :meth:`~repro.sim.machine.Machine.restore_pm`) finds it as it was.
+        """
+        if path in self._files:
+            raise FsError(f"file exists: {path!r}")
+        f = PmFile(path, region)
+        self._files[path] = f
+        return f
+
+    def files(self) -> list[tuple[str, str]]:
+        """``(path, region name)`` of every file, in creation order."""
+        return [(path, f.region.name) for path, f in self._files.items()]
+
     def exists(self, path: str) -> bool:
         return path in self._files
 

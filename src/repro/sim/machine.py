@@ -242,6 +242,20 @@ class Machine:
             raise TypeError(f"region {region.name!r} is volatile and has no durable image")
         return self.llc.durable_image(region, self.eadr)
 
+    def restore_pm(self, name: str, chunks) -> Region:
+        """Allocate PM region ``name`` holding a durable image.
+
+        ``chunks`` are uint8 arrays laid end to end (one region's image,
+        e.g. from :class:`~repro.check.census.ImageCensus`).  Both images
+        hold the bytes, as after :meth:`crash`: a machine powered up over
+        that durable state.
+        """
+        region = self.alloc_pm(name, sum(chunk.size for chunk in chunks))
+        np.concatenate(chunks, out=region.persisted)
+        region.persist_gen += 1
+        region.visible[:] = region.persisted
+        return region
+
     def crash(self) -> None:
         """Simulate a power failure / fail-stop crash.
 

@@ -74,6 +74,9 @@ class Region:
         self.persisted = np.zeros(size, dtype=np.uint8) if kind is MemKind.PM else None
         #: Set when a crash wiped this (volatile) region's contents.
         self.lost = False
+        #: Bumped by every call that writes ``persisted``, so an observer
+        #: can tell that the persisted image is unchanged without reading it.
+        self.persist_gen = 0
 
     # -- typed access ---------------------------------------------------
 
@@ -146,6 +149,7 @@ class Region:
             raise TypeError(f"cannot persist volatile region {self.name!r}")
         self._check_range(offset, size)
         self.persisted[offset : offset + size] = self.visible[offset : offset + size]
+        self.persist_gen += 1
 
     #: Up to this many segments a plain slice loop beats building the index
     #: vector (see ``benchmarks/test_persist_ranges.py``).
@@ -160,6 +164,7 @@ class Region:
         """
         if self.persisted is None:
             raise TypeError(f"cannot persist volatile region {self.name!r}")
+        self.persist_gen += 1
         starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if starts.size <= self.PERSIST_SLICE_THRESHOLD:

@@ -198,7 +198,9 @@ class OptaneModel:
                     if slices:
                         persisted[start:start + length] = visible[start:start + length]
             if segments:
-                if not slices:
+                if slices:
+                    region.persist_gen += 1
+                else:
                     region.persist_ranges(starts[lo:hi], lengths[lo:hi])
                 time = (touches + random_starts * penalty) * line_time
                 self._last_line = prev

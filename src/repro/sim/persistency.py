@@ -141,14 +141,15 @@ class PersistencyModel:
     #: per-write data-path selection is active (:meth:`route_io_write`)
     adaptive = False
 
-    def __init__(self) -> None:
-        self._machine = None
-
     # -- lifecycle ---------------------------------------------------------
 
     def attach(self, machine) -> None:
-        """Bind to the owning machine (subscribe observers, read config)."""
-        self._machine = machine
+        """Bind to the owning machine (subscribe observers, read config).
+
+        Keeps no reference to it: a machine and its model would otherwise
+        form a cycle that only the cyclic collector frees, holding every
+        region image of a finished machine until it runs.
+        """
 
     def reset_after_crash(self) -> None:
         """Drop volatile model state (staged ranges, open windows)."""

@@ -160,6 +160,13 @@ class PrefixSum(CrashConsistent):
             raise ValueError("n must be a multiple of block_dim")
         self.config = cfg
 
+    def _make_inputs(self) -> list[np.ndarray]:
+        """The arrays to scan: a pure function of the config's seed."""
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed)
+        return [rng.integers(1, 100, size=cfg.n, dtype=np.int64)
+                for _ in range(cfg.arrays)]
+
     def _buffer_bytes(self) -> int:
         # partial sums + final sums, int64 each
         return _HEADER_BYTES + 2 * 8 * self.config.n
@@ -175,11 +182,7 @@ class PrefixSum(CrashConsistent):
         cfg = self.config
         system = system or make_system(mode)
         driver = ModeDriver(system, mode)
-        rng = np.random.default_rng(cfg.seed)
-        self._inputs = [
-            rng.integers(1, 100, size=cfg.n, dtype=np.int64)
-            for _ in range(cfg.arrays)
-        ]
+        self._inputs = self._make_inputs()
         bufs = []
         for a in range(cfg.arrays):
             buf = driver.buffer(f"/pm/ps{a}.state", self._buffer_bytes(),
@@ -238,31 +241,31 @@ class PrefixSum(CrashConsistent):
         The sentinel discipline promises: if a block's *last* slot is
         non-EMPTY in the durable image, every slot of that block is durable
         and correct.  Checked for both the partial-sums and the final-sums
-        arrays against the deterministic reference scan.  Only meaningful
-        after a crash during :meth:`run` on the same instance (``self``
-        holds the inputs the crashed run used).
+        arrays against the deterministic reference scan.  Reads only the
+        config and ``system``'s PM files, so any instance with the crashed
+        run's config judges its crash state.
         """
         cfg = self.config
+        inputs = self._make_inputs()
 
         def sentinel_implies_block() -> tuple[bool, str]:
+            from ..core.mapping import gpm_map
+
             bad = []
-            for a, data in enumerate(self._inputs):
+            for a, data in enumerate(inputs):
                 path = f"/pm/ps{a}.state"
                 if not system.fs.exists(path):
                     continue  # crash predates the buffer
-                buf = self._state[2][a]
-                psum_ref = (data.reshape(-1, cfg.block_dim)
-                            .cumsum(axis=1).reshape(-1))
-                out_ref = np.cumsum(data)
+                region = gpm_map(system, path).region
+                psum_ref = data.reshape(-1, cfg.block_dim).cumsum(axis=1)
+                out_ref = np.cumsum(data).reshape(-1, cfg.block_dim)
                 for label, off, ref in (("psum", self._psum_off(), psum_ref),
                                         ("out", self._out_off(), out_ref)):
-                    durable = buf.durable_view(np.int64, off, cfg.n)
-                    for blk in range(cfg.n // cfg.block_dim):
-                        lo, hi = blk * cfg.block_dim, (blk + 1) * cfg.block_dim
-                        if int(durable[hi - 1]) == EMPTY:
-                            continue
-                        if not np.array_equal(durable[lo:hi], ref[lo:hi]):
-                            bad.append(f"ps{a}.{label} block {blk}")
+                    durable = region.persisted_view(np.int64, off, cfg.n).reshape(
+                        -1, cfg.block_dim)
+                    torn = (durable[:, -1] != EMPTY) & (durable != ref).any(axis=1)
+                    bad.extend(f"ps{a}.{label} block {blk}"
+                               for blk in np.flatnonzero(torn).tolist())
             if bad:
                 return False, "sentinel present but block torn: " + ", ".join(bad)
             return True, "every sentinelled block is complete and correct"
@@ -275,7 +278,7 @@ class PrefixSum(CrashConsistent):
             from .base import PersistentBuffer
 
             driver = ModeDriver(system, Mode.GPM)
-            for a, data in enumerate(self._inputs):
+            for a, data in enumerate(inputs):
                 buf = PersistentBuffer.reopen(driver, f"/pm/ps{a}.state")
                 self._scan_one(driver, buf, data, None)
                 got = buf.visible_view(np.int64, self._out_off(), cfg.n)

@@ -1,19 +1,22 @@
 """The image census against crash replays, for every seed-corpus target.
 
-A :class:`~repro.check.frontier.FrontierRecorder` given a snapshot callable
-records, at each event frontier's ordinal, the durable image of every PM
-region (:meth:`~repro.sim.machine.Machine.durable_image`).  The litmus
-campaign judges event frontiers from that census instead of replaying
-them, so the census must equal what a crash replay leaves: the persisted
-PM images after a :meth:`~repro.sim.crash.CrashInjector.arm_at_frontier`
-replay to the same ordinal, under every mode the target's oracle declares
-and under ``gpm-eadr``, where the snapshot overlays the LLC's dirty lines.
+A :class:`~repro.check.frontier.FrontierRecorder` given an
+:class:`~repro.check.census.ImageCensus` records, at each event frontier,
+the chunk-shared durable image of every PM region (read through
+:meth:`~repro.sim.machine.Machine.durable_image`).  The litmus campaign
+and the crash explorer judge event frontiers from that census instead of
+replaying them, so the census must equal what a crash replay leaves: the
+persisted PM images after a
+:meth:`~repro.sim.crash.CrashInjector.arm_at_frontier` replay to the same
+ordinal, under every mode the target's oracle declares and under
+``gpm-eadr``, where the snapshot overlays the LLC's dirty lines.
 """
 
 import numpy as np
 import pytest
 
 from repro.check import make_oracle
+from repro.check.census import ImageCensus
 from repro.check.frontier import FrontierRecorder, prune_frontiers
 from repro.check.litmus import SEED_CORPUS
 from repro.sim import event_to_record
@@ -40,12 +43,7 @@ def record_census(target: str, mode: Mode):
     """The reference run's event frontiers and its image census."""
     oracle = make_oracle(target)
     system = oracle.build_system(mode)
-    machine = system.machine
-
-    def snapshot() -> dict:
-        return {r.name: machine.durable_image(r) for r in _pm_regions(machine)}
-
-    recorder = FrontierRecorder(snapshot=snapshot)
+    recorder = FrontierRecorder(snapshot=ImageCensus(system.machine, system.fs))
     system.events.subscribe(recorder.observe)
     try:
         injector = recorder if oracle.supports_thread_injection else None
@@ -53,7 +51,8 @@ def record_census(target: str, mode: Mode):
     finally:
         system.events.unsubscribe(recorder.observe)
     events = [f for f in recorder.frontiers() if f.mechanism == "event"]
-    return events, recorder.image_census
+    return events, [{name: f.state.region(name) for name in f.state.region_names()}
+                    for f in events]
 
 
 def replay_images(target: str, mode: Mode, ordinal: int) -> dict:
@@ -97,8 +96,7 @@ def _reference_run(target: str, mode: Mode, census: bool):
     oracle = make_oracle(target)
     system = oracle.build_system(mode)
     machine = system.machine
-    snapshot = (lambda: {r.name: machine.durable_image(r)
-                         for r in _pm_regions(machine)}) if census else None
+    snapshot = ImageCensus(machine, system.fs) if census else None
     recorder = FrontierRecorder(snapshot=snapshot)
     events = []
     system.events.subscribe(lambda ts, ev: events.append(event_to_record(ts, ev)))
@@ -106,7 +104,8 @@ def _reference_run(target: str, mode: Mode, census: bool):
     oracle.execute(system, mode, recorder)
     images = {r.name: (r.visible.copy(), r.persisted.copy())
               for r in _pm_regions(machine)}
-    return events, machine.clock.now, images, len(recorder.image_census)
+    taken = sum(f.state is not None for f in recorder.frontiers())
+    return events, machine.clock.now, images, taken
 
 
 @pytest.mark.parametrize("mode", ["gpm", "gpm-eadr"])

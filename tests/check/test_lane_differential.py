@@ -87,6 +87,7 @@ def replay(target: str, frontier, mode: Mode = Mode.GPM) -> dict:
             injector.disarm()
         crashed = _pm_images(system)
         system.machine.drop_volatile_regions()
+        oracle.attach(system, mode)
         oracle.recover(system, mode)
     finally:
         device.resolve_warp_impl = resolve

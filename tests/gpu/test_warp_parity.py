@@ -440,6 +440,7 @@ def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
     # where the census meets both lanes' replays.
     from repro.check.litmus import (
         DEFAULT_LITMUS_FRONTIERS,
+        census_images,
         crash_images,
         generate_tests,
         parse_config_point,
@@ -460,7 +461,7 @@ def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
     point = parse_config_point(spec)
     warp_replays = census_checked = 0
     for test in generate_tests(42, 2):
-        frontiers, _, image_census = record_frontiers(test, point)
+        frontiers, _ = record_frontiers(test, point)
         for frontier in select_frontiers(frontiers, DEFAULT_LITMUS_FRONTIERS):
             lanes.clear()
             default = crash_images(test, point, frontier)
@@ -476,7 +477,7 @@ def test_litmus_crash_replays_match_either_lane(spec, monkeypatch):
                     test.index, frontier.spec(), r)
             if frontier.mechanism == "event":
                 census_checked += 1
-                taken = image_census[frontier.value]
+                taken = census_images(frontier.state)
                 assert taken.keys() == default.keys()
                 for r, image in taken.items():
                     assert np.array_equal(image, default[r]), (

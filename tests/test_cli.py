@@ -87,6 +87,10 @@ class TestCli:
         (["check", "--litmus-replay", "42:0", "--mutant", "nope"],
          "check: unknown --mutant 'nope' (one of: fence-order, "
          "epoch-boundary)"),
+        (["check", "ring", "--images", "--frontier", "event:3"],
+         "check: --images counts a whole exploration; drop --frontier"),
+        (["check", "--litmus", "1", "--images"],
+         "check: --images applies to a target, not to --litmus"),
     ])
     def test_rejects_bad_flags(self, argv, message, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # a wrongly accepted run writes here
@@ -181,6 +185,15 @@ class TestCheckCli:
         assert "FAIL (violation)" in out
         assert main(["check", "ring", "--frontier", "event:0"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_check_images_counts_distinct_durable_images(self, capsys):
+        assert main(["check", "ring", "--max-frontiers", "0", "--images"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "durable images: ring under gpm",
+            "  crash states        18 (12 event, 6 threads)",
+            "  distinct images     5",
+            "  threads-only images 0",
+        ]
 
     def test_check_unknown_target(self):
         with pytest.raises(SystemExit):

@@ -166,6 +166,26 @@ class TestPrefixSum:
         with pytest.raises(ValueError):
             PrefixSum(PrefixSumConfig(n=1000, block_dim=128))
 
+    def test_sentinel_check_names_torn_blocks_in_order(self):
+        # A torn block is reported only when its last (sentinel) slot is
+        # durable; arrays in order, psum before out, blocks ascending.  A
+        # fresh instance judges: the invariants read only config and PM.
+        cfg = PrefixSumConfig(n=1024, block_dim=128, arrays=2)
+        system = make_system(Mode.GPM)
+        PrefixSum(cfg).run(Mode.GPM, system=system)
+        for path, off, block, slot, value in (
+                ("/pm/ps1.state", 128, 2, 5, -1),          # ps1.psum block 2
+                ("/pm/ps0.state", 128 + 8 * 1024, 7, 0, -1),  # ps0.out block 7
+                ("/pm/ps0.state", 128, 4, 3, -1),           # torn, but its
+                ("/pm/ps0.state", 128, 4, 127, 0),          # sentinel empty
+                ("/pm/ps0.state", 128, 1, 3, -1)):          # ps0.psum block 1
+            region = system.fs.open(path).region
+            region.persisted_view(np.int64, off, 1024)[block * 128 + slot] = value
+        sentinel = PrefixSum(cfg).declare_invariants(system)[0]
+        assert sentinel[2]() == (False, "sentinel present but block torn: "
+                                 "ps0.psum block 1, ps0.out block 7, "
+                                 "ps1.psum block 2")
+
     def test_crash_then_rerun_completes(self):
         """Fig. 8's embedded recovery: re-running skips finished blocks."""
         w = self._small()
